@@ -73,19 +73,6 @@ bipolarModelFor(int signed_bits)
     return *model;
 }
 
-namespace {
-
-/** Chunk size for row-parallel GEMMs: keep ~4k MACs per chunk so small
- *  problems stay serial and large ones amortize the hand-off. */
-u64
-rowGrain(int k_dim, int n_dim)
-{
-    const u64 macs_per_row = u64(std::max(1, k_dim)) * std::max(1, n_dim);
-    return std::max<u64>(1, 4096 / macs_per_row);
-}
-
-} // namespace
-
 GemmExecutor::GemmExecutor(const KernelConfig &cfg)
     : cfg_(cfg)
 {
@@ -144,7 +131,6 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     const int m_rows = a.rows();
     const int k_dim = a.cols();
     const int n_dim = b.cols();
-    Matrix<i64> out(m_rows, n_dim, 0);
 
     if (cfg_.scheme == Scheme::BinaryParallel ||
         cfg_.scheme == Scheme::BinarySerial ||
@@ -155,53 +141,91 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
         return referenceGemm(a, b);
     }
 
+    // Rows are independent (each writes only its own output row, used as
+    // its i64 accumulator), so the batch loop of dnn inference
+    // parallelizes here; every per-row sum is exact integer arithmetic,
+    // so the result is independent of the thread count.
+    Matrix<i64> out(m_rows, n_dim, 0);
+    const u64 grain = rowGrain(u64(k_dim) * u64(n_dim));
+
     if (cfg_.scheme == Scheme::UgemmHybrid) {
-        // Rows are independent (each writes only its own output row), so
-        // the batch loop of dnn inference parallelizes here for free.
+        // scaledProduct(x, w) = oneRow(x)[w_off] - zeroRow(x)[w_off]
+        //                       + (period - x_off - period/2).
+        // The last term depends only on x, so it is summed once per row
+        // and added to every column at the end. A zero weight is not a
+        // zero product here; a zero input is (its two rows cancel, which
+        // BipolarProductModel checks when built, and its last term is 0),
+        // so its k-step is skipped.
+        const i64 half = bipolar_->period() / 2;
         parallelFor(
             0, u64(m_rows),
             [&](u64 mi) {
                 const int m = int(mi);
-                for (int k = 0; k < k_dim; ++k)
+                i64 *acc = &out(m, 0);
+                i64 row_const = 0;
+                for (int k = 0; k < k_dim; ++k) {
+                    const i32 av = a(m, k);
+                    if (av == 0)
+                        continue;
+                    const u32 x_off = bipolar_->offset(av);
+                    // Offsetting the rows by half lets the signed
+                    // weight index them directly.
+                    const u16 *one = bipolar_->oneRow(x_off) + half;
+                    const u16 *zero = bipolar_->zeroRow(x_off) + half;
+                    const i32 *w = &b(k, 0);
+                    row_const += i64(bipolar_->period() - x_off) - half;
                     for (int n = 0; n < n_dim; ++n)
-                        out(m, n) +=
-                            bipolar_->scaledProduct(a(m, k), b(k, n));
+                        acc[n] += i32(one[w[n]]) - i32(zero[w[n]]);
+                }
+                for (int n = 0; n < n_dim; ++n)
+                    acc[n] += row_const;
             },
-            rowGrain(k_dim, n_dim));
+            grain);
         return out;
     }
 
     // uSystolic rate/temporal: sign-magnitude unipolar products,
-    // binary-accumulated; early termination shifts the count back.
+    // binary-accumulated. Each k-step fetches one table row (the input's
+    // delivered ones-count picks it) and indexes it with the weight
+    // magnitudes; the sign is applied as (c ^ s) - s with s the XOR of
+    // the two operands' 0/-1 sign masks.
     const bool rate = cfg_.scheme == Scheme::USystolicRate;
     const u32 cycles = cfg_.mulCycles();
-    const u32 period = unary_->period();
-    const int shift =
-        (rate && cfg_.et_bits > 0) ? cfg_.bits - cfg_.et_bits : 0;
+    const bool truncated = rate && cycles < unary_->period();
+    // Early termination scales every product by 2^shift; the shift is
+    // applied once to the row sum, as (sum c) << s == sum (c << s).
+    const int shift = truncated ? cfg_.bits - cfg_.et_bits : 0;
     parallelFor(
         0, u64(m_rows),
         [&](u64 mi) {
             const int m = int(mi);
+            i64 *acc = &out(m, 0);
             for (int k = 0; k < k_dim; ++k) {
-                const SignMag sa = toSignMag(a(m, k));
-                // The delivered ones-count depends only on the input
-                // value and the termination point, so hoist it out of
-                // the n loop.
-                const u32 ones =
-                    (rate && cycles < period)
-                        ? unary_->rateOnes(sa.magnitude, cycles)
-                        : sa.magnitude;
+                const i32 av = a(m, k);
+                if (av == 0)
+                    continue;
+                const SignMag sa = toSignMag(av);
+                const u32 ones = truncated
+                                     ? unary_->rateOnes(sa.magnitude, cycles)
+                                     : sa.magnitude;
+                // countAfterOnes(0, .) == 0: an input that delivers no
+                // 1-bits adds nothing to any column.
+                if (ones == 0)
+                    continue;
+                const u16 *row = unary_->weightRow(ones);
+                const i32 *w = &b(k, 0);
+                const i32 flip = -i32(sa.negative);
                 for (int n = 0; n < n_dim; ++n) {
-                    const SignMag sb = toSignMag(b(k, n));
-                    const i64 count =
-                        i64(unary_->countAfterOnes(ones, sb.magnitude))
-                        << shift;
-                    out(m, n) +=
-                        (sa.negative != sb.negative) ? -count : count;
+                    const i32 neg = w[n] >> 31;
+                    const i32 s = neg ^ flip;
+                    acc[n] += (i32(row[(w[n] ^ neg) - neg]) ^ s) - s;
                 }
             }
+            if (shift > 0)
+                for (int n = 0; n < n_dim; ++n)
+                    acc[n] *= i64(1) << shift;
         },
-        rowGrain(k_dim, n_dim));
+        grain);
     return out;
 }
 

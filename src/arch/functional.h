@@ -3,10 +3,19 @@
  * Fast bit-exact functional GEMM engines.
  *
  * GemmExecutor computes the same accumulations as the cycle-level
- * SystolicArray (tests assert exact agreement) but in O(1) per MAC using
- * the precomputed unary product tables, making full DNN inference through
- * the unary datapath tractable. Results are returned in scheme-native
- * accumulator units; resultScale() converts them to exact-product units.
+ * SystolicArray (tests assert exact agreement) from the precomputed
+ * unary product tables, making full DNN inference through the unary
+ * datapath tractable. Each (row, k) step fetches the one table row its
+ * input selects and indexes it across B's row k (weights decode to
+ * sign and magnitude branch-free), so a MAC is one table load and an
+ * add into the row's i64 accumulators. uSystolic rate/temporal rows
+ * skip every k-step whose input delivers no 1-bits (a == 0, or a rate
+ * stream truncated before its first 1): countAfterOnes(0, w) == 0, so
+ * the skip is exact. uGEMM-H skips zero inputs too, as its tables make
+ * a zero input a zero product (BipolarProductModel checks this when
+ * built), but never zero weights, which are not. Results are returned in
+ * scheme-native accumulator units; resultScale() converts them to
+ * exact-product units.
  */
 
 #ifndef USYS_ARCH_FUNCTIONAL_H

@@ -258,6 +258,18 @@ parallelFor(u64 begin, u64 end, Fn &&fn, u64 grain = 1)
     });
 }
 
+/**
+ * Grain for a row-parallel loop whose rows each cost `work_per_row`
+ * units (MACs, or elements for the copy/convert passes): about 4k units
+ * per chunk, so small problems stay serial and large ones amortize the
+ * hand-off.
+ */
+inline u64
+rowGrain(u64 work_per_row)
+{
+    return std::max<u64>(1, 4096 / std::max<u64>(1, work_per_row));
+}
+
 } // namespace usys
 
 #endif // USYS_COMMON_EXECUTOR_H

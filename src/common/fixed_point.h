@@ -51,13 +51,29 @@ maxMagnitude(int bits)
  * @param scale real value represented by one LSB
  * @param bits total signed bitwidth (sign + magnitude)
  * @return integer code clamped to [-maxMagnitude, +maxMagnitude]
+ *
+ * Equals clamp(std::lround(value / scale)) (round half away from zero)
+ * for every finite quotient, without the libm call: clamping first is
+ * the same as clamping after, because rounding is monotone and keeps
+ * the integer bounds fixed, and once clamped the truncating conversion
+ * is exact and its remainder x - trunc(x) decides the rounding exactly
+ * (floor(x + 0.5) would round 0.49999999999999994 up). A NaN quotient
+ * gives 0.
  */
 inline i32
 quantize(double value, double scale, int bits)
 {
     const i32 max_mag = maxMagnitude(bits);
-    i32 q = i32(std::lround(value / scale));
-    return std::clamp(q, -max_mag, max_mag);
+    const double x = value / scale;
+    const double lim = max_mag;
+    if (!(x > -lim))
+        return x <= -lim ? -max_mag : 0;
+    if (x >= lim)
+        return max_mag;
+    i32 q = i32(x);
+    const double frac = x - q;
+    q += (frac >= 0.5) - (frac <= -0.5);
+    return q;
 }
 
 /** Reconstruct the real value of an integer code under the given scale. */

@@ -79,8 +79,6 @@ referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
     // Row-parallel; each row owns its output slice and the i64
     // accumulation is exact, so the result is independent of the thread
     // count. Small products stay serial via the grain.
-    const u64 grain = std::max<u64>(
-        1, 4096 / u64(std::max(1, a.cols() * b.cols())));
     const SimdKernels &simd = simdKernels();
     parallelFor(
         0, u64(a.rows()),
@@ -93,7 +91,7 @@ referenceGemm(const Matrix<i32> &a, const Matrix<i32> &b)
                 simd.gemmRowI32(&c(m, 0), &b(k, 0), av, b.cols());
             }
         },
-        grain);
+        rowGrain(u64(a.cols()) * u64(b.cols())));
     return c;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/executor.h"
+
 namespace usys {
 
 namespace {
@@ -28,31 +30,38 @@ sgdStep(std::vector<float> &param, std::vector<float> &grad,
     }
 }
 
-/** im2col: (N,C,H,W) -> (N*OH*OW) x (C*k*k). */
+/** im2col: (N,C,H,W) -> (N*OH*OW) x (C*k*k). Parallel over (image,
+ *  output row); each task fills its own out_w rows of the result. */
 MatF
 im2col(const Tensor &x, int kernel, int stride, int pad, int out_h,
        int out_w)
 {
-    const int n = x.n(), c = x.c(), h = x.h(), w = x.w();
-    MatF cols(n * out_h * out_w, c * kernel * kernel, 0.0f);
-    for (int ni = 0; ni < n; ++ni) {
-        for (int oh = 0; oh < out_h; ++oh) {
+    const int c = x.c(), h = x.h(), w = x.w();
+    const int cols_per_row = c * kernel * kernel;
+    MatF cols(x.n() * out_h * out_w, cols_per_row, 0.0f);
+    parallelFor(
+        0, u64(x.n()) * u64(out_h),
+        [&](u64 task) {
+            const int ni = int(task / u64(out_h));
+            const int oh = int(task % u64(out_h));
+            const float *img = x.data() + std::size_t(ni) * c * h * w;
             for (int ow = 0; ow < out_w; ++ow) {
-                const int row = (ni * out_h + oh) * out_w + ow;
-                int col = 0;
+                float *dst = &cols((ni * out_h + oh) * out_w + ow, 0);
                 for (int ci = 0; ci < c; ++ci) {
+                    const float *plane = img + std::size_t(ci) * h * w;
                     for (int kh = 0; kh < kernel; ++kh) {
                         const int ih = oh * stride + kh - pad;
-                        for (int kw = 0; kw < kernel; ++kw, ++col) {
+                        const bool row_in = ih >= 0 && ih < h;
+                        for (int kw = 0; kw < kernel; ++kw, ++dst) {
                             const int iw = ow * stride + kw - pad;
-                            if (ih >= 0 && ih < h && iw >= 0 && iw < w)
-                                cols(row, col) = x.at(ni, ci, ih, iw);
+                            if (row_in && iw >= 0 && iw < w)
+                                *dst = plane[std::size_t(ih) * w + iw];
                         }
                     }
                 }
             }
-        }
-    }
+        },
+        rowGrain(u64(out_w) * u64(cols_per_row)));
     return cols;
 }
 
@@ -116,7 +125,10 @@ Conv2d::forward(const Tensor &x, const NumericConfig &cfg)
     input_ = x;
     out_h_ = (x.h() + 2 * pad_ - kernel_) / stride_ + 1;
     out_w_ = (x.w() + 2 * pad_ - kernel_) / stride_ + 1;
-    cols_ = im2col(x, kernel_, stride_, pad_, out_h_, out_w_);
+    {
+        USYS_PROF_SCOPE("dnn.im2col");
+        cols_ = im2col(x, kernel_, stride_, pad_, out_h_, out_w_);
+    }
 
     const int k = in_ch_ * kernel_ * kernel_;
     MatF wmat(k, out_ch_);
@@ -126,14 +138,21 @@ Conv2d::forward(const Tensor &x, const NumericConfig &cfg)
 
     const MatF out = gemmWithMode(cols_, wmat, cfg);
 
+    // Scatter (rows x out_ch) back to NCHW plus bias, one image a task.
     Tensor y(x.n(), out_ch_, out_h_, out_w_);
-    for (int ni = 0; ni < x.n(); ++ni)
-        for (int oh = 0; oh < out_h_; ++oh)
-            for (int ow = 0; ow < out_w_; ++ow) {
-                const int row = (ni * out_h_ + oh) * out_w_ + ow;
+    const int pixels = out_h_ * out_w_;
+    parallelFor(
+        0, u64(x.n()),
+        [&](u64 ni) {
+            float *img = y.data() + ni * u64(out_ch_) * pixels;
+            const int row0 = int(ni) * pixels;
+            for (int p = 0; p < pixels; ++p) {
+                const float *src = &out(row0 + p, 0);
                 for (int oc = 0; oc < out_ch_; ++oc)
-                    y.at(ni, oc, oh, ow) = out(row, oc) + bias_[oc];
+                    img[std::size_t(oc) * pixels + p] = src[oc] + bias_[oc];
             }
+        },
+        rowGrain(u64(pixels) * u64(out_ch_)));
     return y;
 }
 

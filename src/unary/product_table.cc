@@ -1,5 +1,7 @@
 #include "unary/product_table.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "unary/sobol.h"
 
@@ -54,21 +56,21 @@ BipolarProductModel::BipolarProductModel(int signed_bits, int rng_dim_one,
                                                     signed_bits));
     prefix_zero_ = buildPrefixTable(sobolPermutation(rng_dim_zero,
                                                      signed_bits));
+    // GEMM kernels skip zero inputs, which needs scaledProduct(0, w) == 0
+    // for every w: the two rows a zero input selects must agree.
+    const u16 *one = oneRow(offset(0));
+    fatalIf(!std::equal(one, one + stride_, zeroRow(offset(0))),
+            "BipolarProductModel: a zero input is not a null product");
 }
 
 u32
 BipolarProductModel::onesCount(i32 x, i32 w) const
 {
-    const u32 half = period_ / 2;
-    const u32 x_off = u32(x + i32(half));
-    const u32 w_off = u32(w + i32(half));
-    // Input delivers x_off 1-bits and (period - x_off) 0-bits per period.
-    const u32 ones_on_one = prefix_one_[std::size_t(x_off) * stride_ + w_off];
-    const u32 zeros = period_ - x_off;
-    const u32 w_hits_on_zero =
-        prefix_zero_[std::size_t(zeros) * stride_ + w_off];
-    // XNOR: output 1 when (x=1, w=1) or (x=0, w=0).
-    return ones_on_one + (zeros - w_hits_on_zero);
+    const u32 x_off = offset(x);
+    const u32 w_off = offset(w);
+    // XNOR: output 1 when (x=1, w=1) or (x=0, w=0). Of the input's
+    // period - x_off 0-bits, zeroRow counts those that met a weight 1.
+    return oneRow(x_off)[w_off] + (period_ - x_off) - zeroRow(x_off)[w_off];
 }
 
 } // namespace usys

@@ -48,11 +48,22 @@ class UnaryProductModel
     /** Magnitude bitwidth N-1. */
     int magBits() const { return mag_bits_; }
 
+    /**
+     * Table row for an input that delivered `ones` 1-bits: entry wabs is
+     * countAfterOnes(ones, wabs). GEMM kernels fetch it once per input
+     * and index it across the weight row. Row 0 is all zeros.
+     */
+    const u16 *
+    weightRow(u32 ones) const
+    {
+        return &weight_prefix_[std::size_t(ones) * stride_];
+    }
+
     /** Product 1-count after the input has delivered `ones` 1-bits. */
     u32
     countAfterOnes(u32 ones, u32 wabs) const
     {
-        return weight_prefix_[std::size_t(ones) * stride_ + wabs];
+        return weightRow(ones)[wabs];
     }
 
     /** Full-period product count (rate or temporal input coding). */
@@ -104,12 +115,39 @@ class BipolarProductModel
   public:
     /**
      * @param signed_bits total signed bitwidth N (stream length 2^N)
+     *
+     * A zero input is a null product (scaledProduct(0, w) == 0 for every
+     * w), and GEMM kernels skip zero inputs on that. It delivers half a
+     * period of 1s and of 0s, and the two rows it selects agree because
+     * the first 2^(N-1) points of a Sobol sequence are exactly the even
+     * codes. The constructor checks this on the built tables and fails
+     * if it does not hold.
      */
     explicit BipolarProductModel(int signed_bits, int rng_dim_one = 0,
                                  int rng_dim_zero = 1);
 
     /** Stream length 2^N. */
     u32 period() const { return period_; }
+
+    /** Offset code x + 2^(N-1) of a signed operand, in [0, 2^N]. */
+    u32 offset(i32 x) const { return u32(x + i32(period_ / 2)); }
+
+    /**
+     * Table rows for an input with offset code x_off: it delivers x_off
+     * 1-bits (counted against the polarity-1 sequence, oneRow) and
+     * period - x_off 0-bits (polarity-0 sequence, zeroRow). Both rows are
+     * indexed by the weight's offset code.
+     */
+    const u16 *
+    oneRow(u32 x_off) const
+    {
+        return &prefix_one_[std::size_t(x_off) * stride_];
+    }
+    const u16 *
+    zeroRow(u32 x_off) const
+    {
+        return &prefix_zero_[std::size_t(period_ - x_off) * stride_];
+    }
 
     /** Output 1-count over a full period for signed inputs x, w. */
     u32 onesCount(i32 x, i32 w) const;

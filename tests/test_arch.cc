@@ -413,5 +413,118 @@ TEST(Functional, UgemmAccuracyComparableToUSystolic)
     EXPECT_LT(ug, ur * 6 + 0.02);
 }
 
+// --- GemmExecutor::run vs the per-MAC definition -------------------------
+
+/** Sum over k of singleProduct: the definition run() must reproduce. */
+Matrix<i64>
+perMacGemm(const GemmExecutor &exec, const Matrix<i32> &a,
+           const Matrix<i32> &b)
+{
+    Matrix<i64> c(a.rows(), b.cols(), 0);
+    for (int m = 0; m < a.rows(); ++m)
+        for (int n = 0; n < b.cols(); ++n)
+            for (int k = 0; k < a.cols(); ++k)
+                c(m, n) += exec.singleProduct(a(m, k), b(k, n));
+    return c;
+}
+
+/** Uniform code in [-max, max], drawn as exactly +-max one time in 8. */
+i32
+drawCode(int bits, Prng &prng)
+{
+    const i32 max_mag = maxMagnitude(bits);
+    switch (prng.below(8)) {
+      case 0: return prng.below(2) ? max_mag : -max_mag;
+      default:
+        return i32(prng.below(2 * u64(max_mag) + 1)) - max_mag;
+    }
+}
+
+/**
+ * Differential sweep: every scheme, bitwidth and early-termination point
+ * across ragged N and activation zero fractions, with mixed signs and
+ * full-scale codes. Exercises the staged weights, hoisted table rows,
+ * zero skipping and the once-per-row termination shift of run().
+ */
+TEST(Functional, RunEqualsSumOfSingleProducts)
+{
+    const Scheme schemes[] = {
+        Scheme::BinaryParallel, Scheme::BinarySerial,
+        Scheme::USystolicRate,  Scheme::USystolicTemporal,
+        Scheme::UgemmHybrid,    Scheme::TubGemm,
+        Scheme::TuGemm};
+    Prng prng(0xD1FFull);
+    int cases = 0;
+    for (const Scheme scheme : schemes) {
+        for (const int bits : {2, 3, 6, 8, 12, 13}) {
+            // The bipolar tables cap at 12 signed bits.
+            if (scheme == Scheme::UgemmHybrid && bits > 12)
+                continue;
+            std::vector<int> ets{0};
+            if (scheme == Scheme::USystolicRate)
+                for (int et = 2; et <= bits; ++et)
+                    ets.push_back(et);
+            for (const int et : ets) {
+                const GemmExecutor exec({scheme, bits, et});
+                for (const int n_dim : {1, 7, 8, 9, 17, 33}) {
+                    for (const double zero_frac : {0.0, 0.5, 0.95}) {
+                        const int m_rows = 1 + int(prng.below(4));
+                        const int k_dim = 1 + int(prng.below(24));
+                        Matrix<i32> a(m_rows, k_dim), b(k_dim, n_dim);
+                        for (auto &v : a.data())
+                            v = prng.uniform() < zero_frac
+                                    ? 0
+                                    : drawCode(bits, prng);
+                        for (auto &v : b.data())
+                            v = drawCode(bits, prng);
+                        ASSERT_EQ(exec.run(a, b), perMacGemm(exec, a, b))
+                            << exec.config().name() << " M " << m_rows
+                            << " K " << k_dim << " N " << n_dim
+                            << " zeros " << zero_frac;
+                        ++cases;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 1422); // 79 kernel configs x 6 N x 3 zero fractions
+}
+
+TEST(Functional, BipolarZeroInputIsANullProduct)
+{
+    // The uGEMM-H kernel skips zero inputs on this identity (the model's
+    // constructor also checks it); zero weights stay in (they are not
+    // null products).
+    for (int bits = 2; bits <= 12; ++bits) {
+        const BipolarProductModel &model = bipolarModelFor(bits);
+        const i32 half = i32(model.period() / 2);
+        bool zero_weight_null = true;
+        for (i32 v = -half; v < half; ++v) {
+            ASSERT_EQ(model.scaledProduct(0, v), 0) << bits << " w " << v;
+            zero_weight_null &= model.scaledProduct(v, 0) == 0;
+        }
+        EXPECT_FALSE(zero_weight_null) << bits;
+    }
+}
+
+TEST(Functional, RowAccumulatorHoldsLongFullScaleSums)
+{
+    // 600k full-scale 13-bit MACs into one output: the count sum passes
+    // 2^31, so an i32 accumulator anywhere on the path would wrap.
+    const int bits = 13;
+    const int k_dim = 600000;
+    const i32 max_mag = maxMagnitude(bits);
+    for (const Scheme scheme :
+         {Scheme::USystolicRate, Scheme::USystolicTemporal}) {
+        const GemmExecutor exec({scheme, bits, 0});
+        Matrix<i32> a(1, k_dim, max_mag), b(k_dim, 1, max_mag);
+        const i64 expect = i64(k_dim) * exec.singleProduct(max_mag, max_mag);
+        ASSERT_GT(expect, i64(1) << 31);
+        EXPECT_EQ(exec.run(a, b)(0, 0), expect) << exec.config().name();
+        b.data().assign(b.data().size(), -max_mag);
+        EXPECT_EQ(exec.run(a, b)(0, 0), -expect) << exec.config().name();
+    }
+}
+
 } // namespace
 } // namespace usys

@@ -3,14 +3,21 @@
  * Tests for the DNN substrate: layer forward correctness against naive
  * references, numerical gradient checks for every trainable layer,
  * backend quantization behavior, dataset determinism, training
- * convergence, and weight (de)serialization.
+ * convergence, weight (de)serialization, quantize() rounding, and
+ * thread-count invariance of the quantized inference path.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "common/executor.h"
+#include "common/fixed_point.h"
 #include "common/prng.h"
+#include "common/profiler.h"
 #include "dnn/backend.h"
 #include "dnn/data.h"
 #include "dnn/models.h"
@@ -339,6 +346,217 @@ TEST(Models, ParameterCountsOrdered)
     // Mirrors the paper's small < medium < large parameter ordering.
     EXPECT_LT(count(*cnn4), count(*res));
     EXPECT_GT(count(*alex), 10000u);
+}
+
+// --- quantize() rounding -----------------------------------------------
+
+/** The definition quantize() must match: clamp(lround(x)) computed at
+ *  full width. lround itself is unspecified past the long range, where
+ *  the clamped result is the signed bound. */
+i32
+lroundClamped(double x, int bits)
+{
+    const long max_mag = maxMagnitude(bits);
+    if (std::fabs(x) >= 0x1p62)
+        return i32(x > 0 ? max_mag : -max_mag);
+    return i32(std::clamp(std::lround(x), -max_mag, max_mag));
+}
+
+TEST(Quantize, MatchesClampedLroundAtTiesAndEdges)
+{
+    const double below_half = 0.49999999999999994; // nextafter(0.5, 0)
+    const double dmin = std::numeric_limits<double>::min();
+    const double sub = std::numeric_limits<double>::denorm_min();
+    const double points[] = {
+        0.0, 0.5, 1.5, 2.5, 126.5, below_half, 1.0 - below_half,
+        std::nextafter(1.5, 0.0), std::nextafter(1.5, 2.0),
+        // Clamp edges for 8 bits (max 127).
+        126.49999999999999, 127.0, 127.49999999999999, 127.5, 128.0,
+        std::nextafter(127.5, 0.0), std::nextafter(127.5, 200.0),
+        // Huge: past i32 (where a narrowing cast would wrap), past long.
+        1e9, 3e9, 0x1p31, 1e18, 1e300,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        // Subnormal and tiny.
+        sub, dmin / 2, dmin, 1e-300};
+    for (const int bits : {2, 8, 12, 16}) {
+        for (const double p : points) {
+            for (const double x : {p, -p}) {
+                EXPECT_EQ(quantize(x, 1.0, bits), lroundClamped(x, bits))
+                    << "x " << x << " bits " << bits;
+            }
+        }
+    }
+    EXPECT_EQ(quantize(0.5, 1.0, 8), 1);
+    EXPECT_EQ(quantize(-0.5, 1.0, 8), -1);
+    EXPECT_EQ(quantize(below_half, 1.0, 8), 0);
+    EXPECT_EQ(quantize(-126.5, 1.0, 8), -127);
+    EXPECT_EQ(quantize(3e9, 1.0, 8), 127);
+    // The quotient, not the inputs, is what gets rounded.
+    EXPECT_EQ(quantize(1.25, 0.5, 8), 3);
+    EXPECT_EQ(quantize(1e-300, 1e10, 8), 0);
+    EXPECT_EQ(quantize(1.0, sub, 8), 127);
+}
+
+TEST(Quantize, MatchesClampedLroundOnRandomDoubles)
+{
+    Prng prng(0x9A27ull);
+    for (int i = 0; i < 1000000; ++i) {
+        const int bits = 2 + int(prng.below(15));
+        const double lim = maxMagnitude(bits) + 2.0;
+        double x = 0.0;
+        switch (prng.below(4)) {
+          case 0: // uniform over and just past the code range
+            x = prng.uniform(-lim, lim);
+            break;
+          case 1: // exact ties
+            x = double(i64(prng.below(u64(2 * lim))) - i64(lim)) + 0.5;
+            break;
+          case 2: // one ulp either side of a tie
+            x = double(i64(prng.below(u64(2 * lim))) - i64(lim)) + 0.5;
+            x = std::nextafter(x, prng.below(2) ? 1e9 : -1e9);
+            break;
+          default: { // any finite bit pattern
+            u64 raw = prng.next();
+            std::memcpy(&x, &raw, sizeof(x));
+            if (!std::isfinite(x))
+                x = 0.0;
+            break;
+          }
+        }
+        ASSERT_EQ(quantize(x, 1.0, bits), lroundClamped(x, bits))
+            << "x " << x << " bits " << bits;
+    }
+}
+
+// --- thread-count invariance ----------------------------------------------
+
+/** Pins the executor's thread count for one scope. */
+struct ThreadGuard
+{
+    explicit ThreadGuard(unsigned n) { Executor::global().setThreads(n); }
+    ~ThreadGuard() { Executor::global().setThreads(0); }
+};
+
+const NumericConfig kAllModes[] = {
+    {NumericMode::Fp32, 8},          {NumericMode::FxpIres, 8},
+    {NumericMode::FxpOres, 8},       {NumericMode::UnaryRate, 8},
+    {NumericMode::UnaryTemporal, 8}, {NumericMode::UgemmH, 8},
+    {NumericMode::TubGemm, 8},       {NumericMode::TuGemm, 6}};
+
+bool
+bitwiseEqual(const std::vector<float> &x, const std::vector<float> &y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+TEST(Backend, GemmWithModeBitwiseIdenticalAcrossThreadCounts)
+{
+    // Large enough that maxAbs, quantize, the GEMM rows and dequantize
+    // all split into several chunks; half-zero activations like ReLU.
+    Prng prng(41);
+    MatF a(256, 96), b(96, 24);
+    for (auto &v : a.data())
+        v = std::max(0.0f, float(prng.gaussian()));
+    for (auto &v : b.data())
+        v = float(prng.gaussian());
+    for (const auto &cfg : kAllModes) {
+        MatF serial, pooled;
+        {
+            ThreadGuard one(1);
+            serial = gemmWithMode(a, b, cfg);
+        }
+        {
+            ThreadGuard three(3);
+            pooled = gemmWithMode(a, b, cfg);
+        }
+        EXPECT_TRUE(bitwiseEqual(serial.data(), pooled.data()))
+            << cfg.name();
+    }
+}
+
+TEST(Backend, FxpMatchesSerialQuantizeGemmDequantize)
+{
+    // The parallel stages against their serial definition: per-tensor
+    // max |v| (here the last element of A, in the last maxAbs chunk),
+    // quantize, exact integer GEMM, dequantize.
+    Prng prng(45);
+    MatF a(300, 80), b(80, 12);
+    for (auto &v : a.data())
+        v = std::max(0.0f, float(prng.gaussian()));
+    for (auto &v : b.data())
+        v = float(prng.gaussian());
+    a(299, 79) = -9.0f;
+    auto scaleOf = [](const MatF &m) {
+        float mx = 0.0f;
+        for (float v : m.data())
+            mx = std::max(mx, std::fabs(v));
+        return symmetricScale(mx, 8);
+    };
+    const double sa = scaleOf(a), sb = scaleOf(b);
+    MatF expect(300, 12);
+    for (int m = 0; m < 300; ++m)
+        for (int n = 0; n < 12; ++n) {
+            i64 acc = 0;
+            for (int k = 0; k < 80; ++k)
+                acc += i64(quantize(a(m, k), sa, 8)) *
+                       quantize(b(k, n), sb, 8);
+            expect(m, n) = float(double(acc) * (sa * sb));
+        }
+    const MatF got = gemmWithMode(a, b, {NumericMode::FxpIres, 8});
+    EXPECT_TRUE(bitwiseEqual(got.data(), expect.data()));
+}
+
+TEST(Models, LogitsBitwiseIdenticalAcrossThreadCounts)
+{
+    Prng prng(43);
+    const Tensor x = randomTensor(8, 1, 16, 16, prng);
+    auto alex = buildAlexLite(10, 5);
+    auto res = buildResLite(10, 6);
+    for (Sequential *model : {alex.get(), res.get()}) {
+        for (const auto &cfg : kAllModes) {
+            Tensor serial, pooled;
+            {
+                ThreadGuard one(1);
+                serial = model->forward(x, cfg);
+            }
+            {
+                ThreadGuard three(3);
+                pooled = model->forward(x, cfg);
+            }
+            EXPECT_TRUE(bitwiseEqual(serial.raw(), pooled.raw()))
+                << cfg.name();
+        }
+    }
+}
+
+TEST(Models, StageScopesAreThreadCountInvariant)
+{
+    // Every GEMM sublayer books its stages under the same names and
+    // call counts at any thread count (worker frames are re-rooted).
+    Prng prng(47);
+    const Tensor x = randomTensor(4, 1, 16, 16, prng);
+    auto alex = buildAlexLite(10, 5);
+    const NumericConfig ur8{NumericMode::UnaryRate, 8};
+    Profiler &prof = Profiler::global();
+    auto signatureAt = [&](unsigned threads) {
+        ThreadGuard guard(threads);
+        prof.reset();
+        prof.setEnabled(true);
+        alex->forward(x, ur8);
+        prof.setEnabled(false);
+        const std::string sig = prof.signature();
+        prof.reset();
+        return sig;
+    };
+    const std::string serial = signatureAt(1);
+    EXPECT_EQ(serial, signatureAt(3));
+    // 5 convolutions lower through im2col; all 8 GEMMs quantize, run
+    // and dequantize.
+    for (const char *line : {"dnn.im2col 5", "dnn.quantize 8", "dnn.gemm 8",
+                             "dnn.dequant 8"})
+        EXPECT_NE(serial.find(line), std::string::npos) << line;
 }
 
 } // namespace
