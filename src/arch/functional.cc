@@ -5,6 +5,7 @@
 
 #include "common/executor.h"
 #include "common/fixed_point.h"
+#include "common/simd.h"
 #include "arch/pe.h"
 #include "mem/dram_faults.h"
 
@@ -81,12 +82,31 @@ GemmExecutor::GemmExecutor(const KernelConfig &cfg)
       case Scheme::USystolicRate:
       case Scheme::USystolicTemporal:
         unary_ = &unaryModelFor(cfg_.bits);
+        // Early termination scales every product by 2^shift; runRow
+        // applies it once to the row sum, as (sum c) << s == sum (c << s).
+        truncated_ = cfg_.scheme == Scheme::USystolicRate &&
+                     cfg_.mulCycles() < unary_->period();
+        shift_ = truncated_ ? cfg_.bits - cfg_.et_bits : 0;
         break;
       case Scheme::UgemmHybrid:
         bipolar_ = &bipolarModelFor(cfg_.bits);
         break;
       default:
         break;
+    }
+}
+
+bool
+GemmExecutor::hasTables(const KernelConfig &cfg)
+{
+    switch (cfg.scheme) {
+      case Scheme::USystolicRate:
+      case Scheme::USystolicTemporal:
+        return cfg.bits <= 13;
+      case Scheme::UgemmHybrid:
+        return cfg.bits <= 12;
+      default:
+        return true;
     }
 }
 
@@ -105,11 +125,9 @@ GemmExecutor::singleProduct(i32 a, i32 b) const
       case Scheme::USystolicRate: {
         const SignMag sa = toSignMag(a);
         const SignMag sb = toSignMag(b);
-        const u32 cycles = cfg_.mulCycles();
-        const int shift = cfg_.et_bits > 0 ? cfg_.bits - cfg_.et_bits : 0;
-        const i64 count =
-            unary_->rateProduct(sa.magnitude, sb.magnitude, cycles);
-        const i64 mag = count << shift;
+        const i64 count = unary_->rateProduct(sa.magnitude, sb.magnitude,
+                                              cfg_.mulCycles());
+        const i64 mag = count << shift_;
         return (sa.negative != sb.negative) ? -mag : mag;
       }
       case Scheme::USystolicTemporal: {
@@ -128,25 +146,35 @@ Matrix<i64>
 GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
 {
     fatalIf(a.cols() != b.rows(), "GemmExecutor: shape mismatch");
-    const int m_rows = a.rows();
-    const int k_dim = a.cols();
-    const int n_dim = b.cols();
-
-    if (cfg_.scheme == Scheme::BinaryParallel ||
-        cfg_.scheme == Scheme::BinarySerial ||
-        cfg_.scheme == Scheme::TubGemm ||
-        cfg_.scheme == Scheme::TuGemm) {
-        // Exact-product schemes: a plain integer GEMM (referenceGemm
-        // already zero-skips per element and runs row-parallel).
-        return referenceGemm(a, b);
-    }
-
     // Rows are independent (each writes only its own output row, used as
     // its i64 accumulator), so the batch loop of dnn inference
     // parallelizes here; every per-row sum is exact integer arithmetic,
     // so the result is independent of the thread count.
-    Matrix<i64> out(m_rows, n_dim, 0);
-    const u64 grain = rowGrain(u64(k_dim) * u64(n_dim));
+    Matrix<i64> out(a.rows(), b.cols(), 0);
+    parallelFor(
+        0, u64(a.rows()),
+        [&](u64 m) { runRow(&a(int(m), 0), b, &out(int(m), 0)); },
+        rowGrain(u64(a.cols()) * u64(b.cols())));
+    return out;
+}
+
+void
+GemmExecutor::runRow(const i32 *a_row, const Matrix<i32> &b,
+                     i64 *acc) const
+{
+    const int k_dim = b.rows();
+    const int n_dim = b.cols();
+
+    if (!hasWeightBsg(cfg_.scheme)) {
+        // Exact-product schemes (binary, tubGEMM, tuGEMM): a plain
+        // integer GEMM row on the dispatched SIMD kernel. A zero input
+        // adds nothing to any column.
+        const SimdKernels &simd = simdKernels();
+        for (int k = 0; k < k_dim; ++k)
+            if (a_row[k] != 0)
+                simd.gemmRowI32(acc, &b(k, 0), a_row[k], n_dim);
+        return;
+    }
 
     if (cfg_.scheme == Scheme::UgemmHybrid) {
         // scaledProduct(x, w) = oneRow(x)[w_off] - zeroRow(x)[w_off]
@@ -157,31 +185,24 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
         // BipolarProductModel checks when built, and its last term is 0),
         // so its k-step is skipped.
         const i64 half = bipolar_->period() / 2;
-        parallelFor(
-            0, u64(m_rows),
-            [&](u64 mi) {
-                const int m = int(mi);
-                i64 *acc = &out(m, 0);
-                i64 row_const = 0;
-                for (int k = 0; k < k_dim; ++k) {
-                    const i32 av = a(m, k);
-                    if (av == 0)
-                        continue;
-                    const u32 x_off = bipolar_->offset(av);
-                    // Offsetting the rows by half lets the signed
-                    // weight index them directly.
-                    const u16 *one = bipolar_->oneRow(x_off) + half;
-                    const u16 *zero = bipolar_->zeroRow(x_off) + half;
-                    const i32 *w = &b(k, 0);
-                    row_const += i64(bipolar_->period() - x_off) - half;
-                    for (int n = 0; n < n_dim; ++n)
-                        acc[n] += i32(one[w[n]]) - i32(zero[w[n]]);
-                }
-                for (int n = 0; n < n_dim; ++n)
-                    acc[n] += row_const;
-            },
-            grain);
-        return out;
+        i64 row_const = 0;
+        for (int k = 0; k < k_dim; ++k) {
+            const i32 av = a_row[k];
+            if (av == 0)
+                continue;
+            const u32 x_off = bipolar_->offset(av);
+            // Offsetting the rows by half lets the signed weight index
+            // them directly.
+            const u16 *one = bipolar_->oneRow(x_off) + half;
+            const u16 *zero = bipolar_->zeroRow(x_off) + half;
+            const i32 *w = &b(k, 0);
+            row_const += i64(bipolar_->period() - x_off) - half;
+            for (int n = 0; n < n_dim; ++n)
+                acc[n] += i32(one[w[n]]) - i32(zero[w[n]]);
+        }
+        for (int n = 0; n < n_dim; ++n)
+            acc[n] += row_const;
+        return;
     }
 
     // uSystolic rate/temporal: sign-magnitude unipolar products,
@@ -189,44 +210,30 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     // delivered ones-count picks it) and indexes it with the weight
     // magnitudes; the sign is applied as (c ^ s) - s with s the XOR of
     // the two operands' 0/-1 sign masks.
-    const bool rate = cfg_.scheme == Scheme::USystolicRate;
     const u32 cycles = cfg_.mulCycles();
-    const bool truncated = rate && cycles < unary_->period();
-    // Early termination scales every product by 2^shift; the shift is
-    // applied once to the row sum, as (sum c) << s == sum (c << s).
-    const int shift = truncated ? cfg_.bits - cfg_.et_bits : 0;
-    parallelFor(
-        0, u64(m_rows),
-        [&](u64 mi) {
-            const int m = int(mi);
-            i64 *acc = &out(m, 0);
-            for (int k = 0; k < k_dim; ++k) {
-                const i32 av = a(m, k);
-                if (av == 0)
-                    continue;
-                const SignMag sa = toSignMag(av);
-                const u32 ones = truncated
-                                     ? unary_->rateOnes(sa.magnitude, cycles)
-                                     : sa.magnitude;
-                // countAfterOnes(0, .) == 0: an input that delivers no
-                // 1-bits adds nothing to any column.
-                if (ones == 0)
-                    continue;
-                const u16 *row = unary_->weightRow(ones);
-                const i32 *w = &b(k, 0);
-                const i32 flip = -i32(sa.negative);
-                for (int n = 0; n < n_dim; ++n) {
-                    const i32 neg = w[n] >> 31;
-                    const i32 s = neg ^ flip;
-                    acc[n] += (i32(row[(w[n] ^ neg) - neg]) ^ s) - s;
-                }
-            }
-            if (shift > 0)
-                for (int n = 0; n < n_dim; ++n)
-                    acc[n] *= i64(1) << shift;
-        },
-        grain);
-    return out;
+    for (int k = 0; k < k_dim; ++k) {
+        const i32 av = a_row[k];
+        if (av == 0)
+            continue;
+        const SignMag sa = toSignMag(av);
+        const u32 ones = truncated_ ? unary_->rateOnes(sa.magnitude, cycles)
+                                    : sa.magnitude;
+        // countAfterOnes(0, .) == 0: an input that delivers no 1-bits
+        // adds nothing to any column.
+        if (ones == 0)
+            continue;
+        const u16 *row = unary_->weightRow(ones);
+        const i32 *w = &b(k, 0);
+        const i32 flip = -i32(sa.negative);
+        for (int n = 0; n < n_dim; ++n) {
+            const i32 neg = w[n] >> 31;
+            const i32 s = neg ^ flip;
+            acc[n] += (i32(row[(w[n] ^ neg) - neg]) ^ s) - s;
+        }
+    }
+    if (shift_ > 0)
+        for (int n = 0; n < n_dim; ++n)
+            acc[n] *= i64(1) << shift_;
 }
 
 Matrix<i64>

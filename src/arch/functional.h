@@ -5,7 +5,8 @@
  * GemmExecutor computes the same accumulations as the cycle-level
  * SystolicArray (tests assert exact agreement) from the precomputed
  * unary product tables, making full DNN inference through the unary
- * datapath tractable. Each (row, k) step fetches the one table row its
+ * datapath tractable. Its serial row kernel, runRow(), is also the
+ * packed array's fault-free fold (DESIGN.md §13). Each (row, k) step fetches the one table row its
  * input selects and indexes it across B's row k (weights decode to
  * sign and magnitude branch-free), so a MAC is one table load and an
  * add into the row's i64 accumulators. uSystolic rate/temporal rows
@@ -41,11 +42,26 @@ class GemmExecutor
     explicit GemmExecutor(const KernelConfig &cfg);
 
     /**
+     * True when the row kernel covers this configuration: the exact
+     * schemes at any width, uSystolic up to 13 signed bits and uGEMM-H
+     * up to 12 (the product-table limits).
+     */
+    static bool hasTables(const KernelConfig &cfg);
+
+    /**
      * Compute the scheme's accumulations for C = A (MxK) x B (KxN).
      * Binary schemes are exact; unary schemes return binary-accumulated
      * product counts, shifted back by 2^(N-n) under early termination.
      */
     Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b) const;
+
+    /**
+     * Serial row kernel behind run(): acc[n] = sum over k of the
+     * scheme-native product of a_row[k] and b(k, n), for n < b.cols(),
+     * with a_row holding b.rows() codes. acc must hold zeros on entry
+     * (the early-termination shift scales the finished row).
+     */
+    void runRow(const i32 *a_row, const Matrix<i32> &b, i64 *acc) const;
 
     /**
      * Same GEMM under a fault plan. The functional model has no cycle
@@ -75,6 +91,10 @@ class GemmExecutor
     KernelConfig cfg_;
     const UnaryProductModel *unary_ = nullptr;
     const BipolarProductModel *bipolar_ = nullptr;
+    // uSystolic rate under early termination: inputs deliver
+    // rateOnes(|a|, mulCycles()) 1-bits and the row sum shifts left.
+    bool truncated_ = false;
+    int shift_ = 0;
 };
 
 } // namespace usys

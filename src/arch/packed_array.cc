@@ -6,16 +6,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <tuple>
 #include <vector>
 
-#include "common/cli.h"
 #include "common/fixed_point.h"
 #include "common/profiler.h"
 #include "common/simd.h"
 #include "arch/pe.h"
-#include "arch/sparsity.h"
 #include "unary/bitstream.h"
 #include "unary/sobol.h"
 
@@ -94,103 +91,6 @@ struct PackedStream
     }
 };
 
-/**
- * Arena key for one prefix-count table: the first `mul` outputs of the
- * (dimension, bits) shared weight RNG thresholded at `threshold`.
- */
-struct CountTableKey
-{
-    int dim;
-    int bits;
-    u32 mul;
-    u32 threshold;
-
-    bool
-    operator<(const CountTableKey &o) const
-    {
-        return std::tie(dim, bits, mul, threshold) <
-               std::tie(o.dim, o.bits, o.mul, o.threshold);
-    }
-};
-
-/**
- * Per-worker arena of prefix-count tables, the panel fast path's form
- * of a staged weight bitstream: tbl[o] = ones among the first o bits
- * of the packed comparison stream b_k = (rng.at(k) < threshold) — by
- * construction identical to PackedStream::prefixOnes(o) for every o,
- * so a table lookup is bit-exact with a stream query. Tables persist
- * across folds/GEMMs/sweeps (weights recur) under a byte budget sized
- * to the configured L2 share: building evicts the oldest unpinned
- * tables first, and tables pinned by the panel being staged are never
- * evicted (their pointers are live in the panel's pointer grid).
- */
-class CountTableArena
-{
-  public:
-    /** Start staging a new panel: unpin everything. */
-    void
-    beginPanel()
-    {
-        pinned_.clear();
-        pinned_bytes_ = 0;
-    }
-
-    /** Bytes pinned by the panel currently being staged. */
-    std::size_t pinnedBytes() const { return pinned_bytes_; }
-
-    /**
-     * Fetch (building and pinning if needed) the table for `key` over
-     * `values`. The returned pointer has mul + 1 entries and stays
-     * valid until the next beginPanel().
-     */
-    const u32 *
-    get(const CountTableKey &key, const std::vector<u32> &values,
-        std::size_t budget_bytes)
-    {
-        const std::size_t need =
-            (std::size_t(key.mul) + 1) * sizeof(u32);
-        auto it = tables_.find(key);
-        if (it == tables_.end()) {
-            while (bytes_ + need > budget_bytes && evictOneUnpinned())
-                ;
-            auto &tbl = tables_[key];
-            tbl.resize(std::size_t(key.mul) + 1);
-            tbl[0] = 0;
-            for (u32 k = 0; k < key.mul; ++k)
-                tbl[k + 1] = tbl[k] + u32(values[k] < key.threshold);
-            bytes_ += need;
-            order_.push_back(key);
-            it = tables_.find(key);
-        }
-        if (pinned_.insert(key).second)
-            pinned_bytes_ += need;
-        return it->second.data();
-    }
-
-  private:
-    /** Evict the oldest table not pinned by the current panel. */
-    bool
-    evictOneUnpinned()
-    {
-        for (std::size_t i = 0; i < order_.size(); ++i) {
-            if (pinned_.count(order_[i]))
-                continue;
-            auto it = tables_.find(order_[i]);
-            bytes_ -= it->second.size() * sizeof(u32);
-            tables_.erase(it);
-            order_.erase(order_.begin() + i);
-            return true;
-        }
-        return false; // everything live is pinned: allow over-budget
-    }
-
-    std::map<CountTableKey, std::vector<u32>> tables_;
-    std::vector<CountTableKey> order_; // build order (eviction queue)
-    std::set<CountTableKey> pinned_;
-    std::size_t bytes_ = 0;
-    std::size_t pinned_bytes_ = 0;
-};
-
 /** Key for one persistent input-ones memo (scheme kind x RNG shape). */
 struct OnesMemoKey
 {
@@ -210,28 +110,15 @@ struct OnesMemoKey
  * Per-worker fold scratch. The executor's workers are persistent, so
  * this arena survives across folds, GEMMs, and whole sweeps: the
  * stream pool hands back PackedStream instances with their word/prefix
- * capacity intact, the count-table arena keeps staged weight panels
- * warm, and the ones-memos keep every input magnitude's delivered-ones
- * count (a pure function of (scheme, bits, mul, magnitude), so reuse
- * across folds is bit-exact). Entirely thread-local — parallel tile
- * shards never share scratch.
+ * capacity intact, and the ones-memos keep every input magnitude's
+ * delivered-ones count (a pure function of (scheme, bits, mul,
+ * magnitude), so reuse across folds is bit-exact). Entirely
+ * thread-local — parallel tile shards never share scratch.
  */
 struct FoldScratch
 {
     std::map<OnesMemoKey, std::vector<i64>> ones_memos;
     std::vector<std::unique_ptr<PackedStream>> stream_pool;
-    CountTableArena tables;
-    SparsityPlan plan; // standalone folds' own nonzero-index plan
-
-    // Panel staging buffers (capacity reused across folds).
-    std::vector<u32> in_ones;          // per (m, r) delivered ones
-    std::vector<i64> in_neg;           // per (m, r) sign, 0 or -1
-    std::vector<const u32 *> stage_a;  // column-major staging
-    std::vector<const u32 *> stage_b;
-    std::vector<i64> stage_neg;
-    std::vector<const u32 *> grid_a;   // row-major panel grids
-    std::vector<const u32 *> grid_b;
-    std::vector<i64> grid_neg;
 
     /** Persistent memo for one (kind, bits, mul), grown to `size`. */
     std::vector<i64> &
@@ -336,18 +223,204 @@ maxAbs(const Matrix<i32> &m)
     return best;
 }
 
+/**
+ * Per-MAC packed-stream fold for the comparator-BSG schemes (UR/UT and
+ * uGEMM-H): out (M x C, zeroed) += input x weights, with every fault
+ * site of cfg.faults applied at its packed equivalent. One packed
+ * weight-comparison stream per distinct |w| over the row-shared weight
+ * RNG values answers each count with one masked popcount. This is the
+ * path for folds under activation-stream, weight-stream or accumulator
+ * faults, and the only path for widths without product tables.
+ */
+void
+streamFold(const ArrayConfig &cfg, const Matrix<i32> &input,
+           const Matrix<i32> &weights, Matrix<i64> &out, u64 tile)
+{
+    USYS_PROF_SCOPE("fold.packed.stream");
+    const KernelConfig &kern = cfg.kernel;
+    const int m_rows = input.rows();
+    const int rows = cfg.rows;
+    const int cols = cfg.cols;
+    const u32 mul = kern.mulCycles();
+    const FaultPlan *plan = cfg.faults.enabled() ? &cfg.faults : nullptr;
+    const bool fa = plan && plan->rates.activation_stream > 0.0;
+    const bool fs = plan && plan->rates.weight_stream > 0.0;
+    const bool fo = plan && plan->rates.accumulator > 0.0;
+    const u32 acc_width = accumulatorWidth(kern);
+    FoldScratch &scratch = foldScratch();
+
+    if (kern.scheme == Scheme::UgemmHybrid) {
+        const int rng_bits = kern.bits;
+        const i64 bias = i64(1) << (kern.bits - 1);
+        // Bipolar uMUL: input 1-cycles consume the polarity-1 weight RNG
+        // (product bit = rnum < woffset), input 0-cycles the polarity-0
+        // RNG (product bit = !(rnum_alt < woffset)).
+        const u32 max_woff = u32(maxAbs(weights) + bias);
+        const std::vector<u32> &s1vals =
+            sharedSobolValues(kWeightRngDim, rng_bits, mul);
+        const std::vector<u32> &s0vals = sharedSobolValues(
+            kWeightRngDim + kWeightAltRngOffset, rng_bits, mul);
+        std::vector<i64> &ones_memo = scratch.onesMemo(
+            2, rng_bits, mul, std::size_t(maxAbs(input) + bias) + 1);
+        StreamCache s1(s1vals, max_woff, scratch.stream_pool);
+        StreamCache s0(s0vals, max_woff, scratch.stream_pool);
+        for (int m = 0; m < m_rows; ++m) {
+            for (int r = 0; r < rows; ++r) {
+                // ActivationStream site: corrupt the packed bipolar
+                // stream before counting (memo bypassed); the corrupted
+                // split between 1-cycles and 0-cycles drives both
+                // polarity lanes exactly as the scalar front end's
+                // corrupted consumption counters do.
+                auto ones_of = [&](const Fault *f) {
+                    BipolarRateBsg gen(input(m, r), kInputRngDim,
+                                       kern.bits);
+                    return u32(onesInWindow(gen, mul, f));
+                };
+                std::optional<Fault> af;
+                if (fa)
+                    af = plan->activationStream(tile, m, r, mul);
+                u32 ones;
+                if (af) {
+                    ones = ones_of(&*af);
+                } else {
+                    i64 &slot = ones_memo[std::size_t(input(m, r) + bias)];
+                    if (slot < 0)
+                        slot = i64(ones_of(nullptr));
+                    ones = u32(slot);
+                }
+                const u32 zeros = mul - ones;
+                for (int c = 0; c < cols; ++c) {
+                    const u32 woff = u32(weights(r, c) + bias);
+                    i64 count =
+                        i64(s1.forThreshold(woff).prefixOnes(ones)) +
+                        (i64(zeros) - s0.forThreshold(woff).prefixOnes(zeros));
+                    // WeightStream site: the polarity-1 lane is the same
+                    // C-BSG structure the unipolar schemes fault, so
+                    // corrupt its covered comparison bits only.
+                    if (fs)
+                        if (const auto f = plan->weightStream(tile, m, r,
+                                                              c, mul)) {
+                            const u64 hi =
+                                std::min<u64>(u64(f->first) + f->len,
+                                              ones);
+                            for (u64 k = f->first; k < hi; ++k) {
+                                const bool b =
+                                    s1vals[std::size_t(k)] < woff;
+                                count += i64(f->corruptBit(b, u32(k))) -
+                                         i64(b);
+                            }
+                        }
+                    // finishMac's bipolar count -> signed product offset.
+                    i64 contrib = count - bias;
+                    if (fo)
+                        if (const auto f = plan->accumulator(tile, m, r, c,
+                                                             acc_width))
+                            contrib = f->applyToInt(contrib, acc_width);
+                    out(m, c) += contrib;
+                }
+            }
+        }
+        return;
+    }
+
+    const bool rate = kern.scheme == Scheme::USystolicRate;
+    const int rng_bits = kern.bits - 1;
+    const std::vector<u32> &wvals =
+        sharedSobolValues(kWeightRngDim, rng_bits, mul);
+    // Input 1s delivered inside the (possibly early-terminated) window
+    // depend only on |i| (a pure function of the RNG shape), so the memo
+    // persists across folds in the worker arena.
+    std::vector<i64> &ones_memo = scratch.onesMemo(
+        rate ? 0 : 1, rng_bits, mul, std::size_t(maxAbs(input)) + 1);
+    // ActivationStream site: corrupt the packed input stream before
+    // counting — the corrupted ones-count is all the weight side ever
+    // sees (the C-BSG advances on observed 1-bits), matching the scalar
+    // engine's corrupted consumption counters. Faulted MACs bypass the
+    // memo.
+    auto ones_of = [&](u32 iabs, const Fault *f) -> u32 {
+        if (rate) {
+            RateBsg gen(iabs, kInputRngDim, rng_bits);
+            return u32(onesInWindow(gen, mul, f));
+        }
+        TemporalBsg gen(iabs, rng_bits);
+        return u32(onesInWindow(gen, mul, f));
+    };
+    StreamCache wstreams(wvals, maxAbs(weights), scratch.stream_pool);
+    for (int m = 0; m < m_rows; ++m) {
+        for (int r = 0; r < rows; ++r) {
+            const SignMag in = toSignMag(input(m, r));
+            std::optional<Fault> af;
+            if (fa)
+                af = plan->activationStream(tile, m, r, mul);
+            u32 ones;
+            if (af) {
+                ones = ones_of(in.magnitude, &*af);
+            } else {
+                // Zero-magnitude streams are all-zero by construction
+                // (the comparator threshold is 0): never generate them.
+                i64 &slot = ones_memo[in.magnitude];
+                if (slot < 0)
+                    slot = in.magnitude ? ones_of(in.magnitude, nullptr)
+                                        : 0;
+                ones = u32(slot);
+            }
+            // Zero delivered ones: every count is 0 and weight-stream
+            // faults only cover indices below the ones-count, so the
+            // whole column sweep contributes exactly nothing — unless an
+            // accumulator fault could still fire on it.
+            if (!fo && ones == 0)
+                continue;
+            for (int c = 0; c < cols; ++c) {
+                const SignMag w = toSignMag(weights(r, c));
+                i64 count =
+                    wstreams.forThreshold(w.magnitude).prefixOnes(ones);
+                // WeightStream site: re-derive the covered comparison
+                // bits b_k = (wrng.at(k) < |w|) and swap each for its
+                // corrupted value — only indices below the delivered
+                // ones-count ever reach a comparator.
+                if (fs)
+                    if (const auto f =
+                            plan->weightStream(tile, m, r, c, mul)) {
+                        const u64 hi = std::min<u64>(
+                            u64(f->first) + f->len, ones);
+                        for (u64 k = f->first; k < hi; ++k) {
+                            const bool b =
+                                wvals[std::size_t(k)] < w.magnitude;
+                            count += i64(f->corruptBit(b, u32(k))) -
+                                     i64(b);
+                        }
+                    }
+                i64 contrib = (in.negative != w.negative) ? -count : count;
+                // Accumulator site: per-MAC signed OREG contribution,
+                // pre-merge, pre-shift — same point as finishMac.
+                if (fo)
+                    if (const auto f = plan->accumulator(tile, m, r, c,
+                                                         acc_width))
+                        contrib = f->applyToInt(contrib, acc_width);
+                out(m, c) += contrib;
+            }
+        }
+    }
+    // Top-row shifter: early termination scales results back by
+    // 2^(N - n).
+    if (rate && kern.et_bits > 0)
+        for (i64 &v : out.data())
+            v *= i64(1) << (kern.bits - kern.et_bits);
+}
+
 } // namespace
 
 PackedArray::PackedArray(const ArrayConfig &cfg)
     : cfg_(cfg)
 {
     cfg_.check();
+    if (GemmExecutor::hasTables(cfg_.kernel))
+        table_.emplace(cfg_.kernel);
 }
 
 SystolicArray::FoldResult
 PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
-                     FoldStatsDelta *stats, u64 tile,
-                     const SparsityPlan *sparsity) const
+                     FoldStatsDelta *stats, u64 tile) const
 {
     USYS_PROF_SCOPE("fold.packed");
     const int rows = cfg_.rows;
@@ -401,583 +474,64 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
         wp = &wfaulted;
     }
 
-    // ActivationStream site, binary schemes: the stream *is* the code
-    // bits, so corruption lands on the input codes themselves.
-    const bool unary = isUnary(kern.scheme);
+    // Staged-value schemes (binary, tubGEMM, tuGEMM): every MAC is the
+    // exact product of the weight and one staged activation value, so
+    // the ActivationStream site lands on that value. A binary stream
+    // *is* the code bits, so corruption hits the code itself; the
+    // staircase stream of |a| asserts exactly |a| of its window bits
+    // fault-free, so a temporal activation stages its (possibly
+    // corrupted) delivered ones-count, signed — tubGEMM adds the
+    // weight per asserted bit, tuGEMM ANDs in the weight staircase,
+    // which matches |w| of the held cycles per asserted bit.
+    const bool staged = !hasWeightBsg(kern.scheme);
     const Matrix<i32> *ip = &input;
     Matrix<i32> ifaulted;
-    if (fa && !unary) {
+    if (fa && staged) {
+        const u32 awin = activationWindow(kern);
         ifaulted = input;
         for (int m = 0; m < m_rows; ++m)
-            for (int r = 0; r < rows; ++r)
-                if (const auto f = plan->activationStream(
-                        tile, m, r, activationWindow(kern)))
-                    ifaulted(m, r) =
-                        corruptActivationCode(*f, ifaulted(m, r), kern);
+            for (int r = 0; r < rows; ++r) {
+                const auto f = plan->activationStream(tile, m, r, awin);
+                if (!f)
+                    continue;
+                i32 &a = ifaulted(m, r);
+                if (!isUnary(kern.scheme)) {
+                    a = corruptActivationCode(*f, a, kern);
+                    continue;
+                }
+                const SignMag in = toSignMag(a);
+                TemporalBsg gen(in.magnitude, kern.bits - 1);
+                const i32 ones = i32(onesInWindow(gen, awin, &*f));
+                a = in.negative ? -ones : ones;
+            }
         ip = &ifaulted;
     }
 
-    // Nonzero-index plan for the activation side: the sparse paths below
-    // iterate only compacted nonzero columns per input row. An active
-    // ActivationStream fault plan can turn a zero operand into a nonzero
-    // contribution, so the plan is consumed only when that site is idle;
-    // uGEMM-H never consumes one (its bipolar bias makes zero operands
-    // contribute — the carve-out in foldSparsityCensus).
-    const bool sparse = sparseEnabled() && zeroSkipEnabled() &&
-                        kern.scheme != Scheme::UgemmHybrid;
-    const SparsityPlan *sp = nullptr;
-    if (sparse && !fa) {
-        if (sparsity) {
-            sp = sparsity;
-        } else {
-            SparsityPlan &own = foldScratch().plan;
-            own.build(input);
-            sp = &own;
-        }
-        if (!sp->anyZero())
-            sp = nullptr; // fully dense tile: compaction is pure cost
-    }
-
-    const int shift =
-        (kern.scheme == Scheme::USystolicRate && kern.et_bits > 0)
-            ? kern.bits - kern.et_bits
-            : 0;
-
     Matrix<i64> out(m_rows, cols, 0);
-
-    switch (kern.scheme) {
-      case Scheme::BinaryParallel:
-      case Scheme::BinarySerial: {
-        // Both binary kernels compute the exact product per MAC: parallel
-        // multiplies in one cycle; serial accumulates wabs << phase over
-        // the input magnitude bits (= wabs * iabs) and sign-corrects at
-        // M-end. Either way the fold is a plain integer GEMM. The
-        // Accumulator site hits each PE's signed per-interval product
-        // before the partial-sum merge, same as PeCore::finishMac.
-        if (panelGemmEnabled() && !fo) {
-            // No per-MAC fault hook active: the fold is a dense integer
-            // GEMM over rows of the (pre-corrupted) staging tiles, so
-            // run it on the dispatched SIMD row kernel. Zero inputs
-            // contribute exactly zero to every column — skip them.
-            USYS_PROF_SCOPE("fold.packed.mac");
-            const bool zskip = zeroSkipEnabled();
-            const SimdKernels &simd = simdKernels();
-            if (sp) {
-                // Compacted iteration: only the plan's nonzero columns
-                // are touched, so row skipping costs no branch per
-                // element (sp is null when activation faults corrupt
-                // the staged codes the plan was built from).
-                for (int m = 0; m < m_rows; ++m) {
-                    const u32 *idx = sp->rowIdx(m);
-                    const u32 cnt = sp->rowCount(m);
-                    for (u32 i = 0; i < cnt; ++i) {
-                        const int r = int(idx[i]);
-                        simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0),
-                                        (*ip)(m, r), cols);
-                    }
-                }
-                break;
-            }
-            for (int m = 0; m < m_rows; ++m)
-                for (int r = 0; r < rows; ++r) {
-                    const i32 a = (*ip)(m, r);
-                    if (zskip && a == 0)
-                        continue;
-                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), a, cols);
-                }
-            break;
-        }
-        for (int m = 0; m < m_rows; ++m) {
-            for (int c = 0; c < cols; ++c) {
-                i64 acc = 0;
-                for (int r = 0; r < rows; ++r) {
-                    i64 contrib = i64((*ip)(m, r)) * i64((*wp)(r, c));
-                    if (fo)
-                        if (const auto f = plan->accumulator(tile, m, r, c,
-                                                             acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
-                    acc += contrib;
-                }
-                out(m, c) = acc;
-            }
-        }
-        break;
-      }
-
-      case Scheme::TubGemm:
-      case Scheme::TuGemm: {
-        // Both temporal-unary schemes reduce to an exact integer GEMM
-        // once the activation's delivered ones-count is staged: the
-        // staircase stream of |a| asserts exactly |a| of its 2^(N-1)
-        // window bits, so fault-free staging is the identity and no
-        // stream words are ever materialized (the stream-generation
-        // level of zero skipping). tubGEMM adds the binary weight value
-        // per asserted bit; tuGEMM ANDs in the weight staircase, which
-        // matches |w| of the held cycles per asserted bit — either way
-        // the MAC is (+/- ones) * w, exactly.
-        const u32 awin = activationWindow(kern);
-        const int rng_bits = kern.bits - 1;
-        auto staged_ones = [&](int m, int r) -> i64 {
-            const SignMag in = toSignMag(input(m, r));
-            u32 ones = in.magnitude;
-            if (fa)
-                if (const auto af =
-                        plan->activationStream(tile, m, r, awin)) {
-                    TemporalBsg gen(in.magnitude, rng_bits);
-                    ones = u32(onesInWindow(gen, awin, &*af));
-                }
-            return in.negative ? -i64(ones) : i64(ones);
-        };
-
-        if (panelGemmEnabled() && !fo) {
-            // Fast path gate is wider than UR/UT's: activation faults
-            // fold into the staged ones-count and no weight stream
-            // exists to fault, so only a live accumulator site forces
-            // the per-MAC loop below.
-            USYS_PROF_SCOPE("fold.packed.mac");
-            const bool zskip = zeroSkipEnabled();
-            const SimdKernels &simd = simdKernels();
-            if (sp) {
-                for (int m = 0; m < m_rows; ++m) {
-                    const u32 *idx = sp->rowIdx(m);
-                    const u32 cnt = sp->rowCount(m);
-                    for (u32 i = 0; i < cnt; ++i) {
-                        const int r = int(idx[i]);
-                        simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0),
-                                        i32(staged_ones(m, r)), cols);
-                    }
-                }
-                break;
-            }
-            for (int m = 0; m < m_rows; ++m)
-                for (int r = 0; r < rows; ++r) {
-                    const i64 a = staged_ones(m, r);
-                    if (zskip && a == 0)
-                        continue;
-                    simd.gemmRowI32(&out(m, 0), &(*wp)(r, 0), i32(a),
-                                    cols);
-                }
-            break;
-        }
-
-        for (int m = 0; m < m_rows; ++m) {
+    if (table_ && !fo && (staged || (!fa && !fs))) {
+        // No per-MAC fault site is active (weight-register and DRAM
+        // faults already corrupted the codes above), so the fold is the
+        // product-table row kernel of DESIGN.md §17 — the same counts
+        // the stream path below derives, read from the shared tables.
+        USYS_PROF_SCOPE("fold.packed.mac");
+        for (int m = 0; m < m_rows; ++m)
+            table_->runRow(&(*ip)(m, 0), *wp, &out(m, 0));
+    } else if (staged) {
+        // Accumulator site: per-MAC signed OREG contribution, pre-merge
+        // — same point as PeCore::finishMac.
+        for (int m = 0; m < m_rows; ++m)
             for (int r = 0; r < rows; ++r) {
-                const i64 a = staged_ones(m, r);
+                const i64 a = (*ip)(m, r);
                 for (int c = 0; c < cols; ++c) {
                     i64 contrib = a * i64((*wp)(r, c));
-                    // Accumulator site: per-MAC signed OREG
-                    // contribution, pre-merge — same point as finishMac.
-                    if (fo)
-                        if (const auto f = plan->accumulator(
-                                tile, m, r, c, acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
+                    if (const auto f =
+                            plan->accumulator(tile, m, r, c, acc_width))
+                        contrib = f->applyToInt(contrib, acc_width);
                     out(m, c) += contrib;
                 }
             }
-        }
-        break;
-      }
-
-      case Scheme::USystolicRate:
-      case Scheme::USystolicTemporal: {
-        const bool rate = kern.scheme == Scheme::USystolicRate;
-        const int rng_bits = kern.bits - 1;
-        FoldScratch &scratch = foldScratch();
-        // One packed weight-comparison stream per distinct |w|, over the
-        // row-shared weight RNG values (C-BSG index k = k-th input 1).
-        const std::vector<u32> &wvals =
-            sharedSobolValues(kWeightRngDim, rng_bits, mul);
-        // Input 1s delivered inside the (possibly early-terminated)
-        // window depend only on |i| (a pure function of the RNG shape),
-        // so the memo persists across folds in the worker arena.
-        std::vector<i64> &ones_memo = scratch.onesMemo(
-            rate ? 0 : 1, rng_bits, mul, std::size_t(maxAbs(input)) + 1);
-        auto ones_of = [&](u32 iabs) -> u32 {
-            // Zero-magnitude streams are all-zero by construction (the
-            // comparator threshold is 0), so never materialize their
-            // RNG words — the stream-generation level of zero skipping.
-            if (iabs == 0)
-                return 0;
-            i64 &slot = ones_memo[iabs];
-            if (slot < 0) {
-                if (rate) {
-                    RateBsg gen(iabs, kInputRngDim, rng_bits);
-                    slot = i64(onesInWindow(gen, mul));
-                } else {
-                    TemporalBsg gen(iabs, rng_bits);
-                    slot = i64(onesInWindow(gen, mul));
-                }
-            }
-            return u32(slot);
-        };
-
-        if (panelGemmEnabled() && !fa && !fs && !fo) {
-            // --- Cache-blocked panel fast path (DESIGN.md §13) ------
-            // No per-MAC fault hook is active (weight-reg and DRAM
-            // faults already corrupted the codes above), so each MAC
-            // is a pure count-table lookup: count = tbl(|w|)[ones],
-            // where tbl(|w|)[o] == PackedStream::prefixOnes(o) by
-            // construction. Columns are processed in panels whose
-            // staged tables fit the L2 budget; the sign is applied
-            // branchless so the inner loop has no data-dependent
-            // branches.
-            USYS_PROF_SCOPE("fold.packed.panel");
-            const bool zskip = zeroSkipEnabled();
-            const std::size_t budget = std::max<std::size_t>(
-                std::size_t(panelBudgetKb()) * 1024,
-                (std::size_t(mul) + 1) * sizeof(u32));
-
-            // Stage the input side once per fold — delivered ones and
-            // sign per (m, r) — and reuse it for every column panel.
-            std::vector<u32> &in_ones = scratch.in_ones;
-            std::vector<i64> &in_neg = scratch.in_neg;
-            in_ones.resize(std::size_t(m_rows) * rows);
-            in_neg.resize(std::size_t(m_rows) * rows);
-            poisonArena(in_ones);
-            poisonArena(in_neg);
-            {
-                USYS_PROF_SCOPE("fold.packed.stage");
-                if (sp) {
-                    // Compacted staging: zero operands never reach the
-                    // ones memo (their slots stay unstaged; the MAC
-                    // loop below walks the same plan, so they are
-                    // never read either).
-                    for (int m = 0; m < m_rows; ++m) {
-                        const u32 *idx = sp->rowIdx(m);
-                        const u32 cnt = sp->rowCount(m);
-                        for (u32 i = 0; i < cnt; ++i) {
-                            const int r = int(idx[i]);
-                            const SignMag in = toSignMag(input(m, r));
-                            in_ones[std::size_t(m) * rows + r] =
-                                ones_of(in.magnitude);
-                            in_neg[std::size_t(m) * rows + r] =
-                                in.negative ? -1 : 0;
-                        }
-                    }
-                } else {
-                    for (int m = 0; m < m_rows; ++m)
-                        for (int r = 0; r < rows; ++r) {
-                            const SignMag in = toSignMag(input(m, r));
-                            in_ones[std::size_t(m) * rows + r] =
-                                ones_of(in.magnitude);
-                            in_neg[std::size_t(m) * rows + r] =
-                                in.negative ? -1 : 0;
-                        }
-                }
-            }
-
-            CountTableArena &arena = scratch.tables;
-            for (int c0 = 0; c0 < cols;) {
-                // Grow the panel column by column until its pinned
-                // tables reach the budget (always >= 1 column).
-                std::vector<const u32 *> &ctbl = scratch.stage_a;
-                std::vector<i64> &cneg = scratch.stage_neg;
-                ctbl.clear();
-                cneg.clear();
-                arena.beginPanel();
-                int c1 = c0;
-                {
-                    USYS_PROF_SCOPE("fold.packed.stage");
-                    while (c1 < cols &&
-                           (c1 == c0 || arena.pinnedBytes() < budget)) {
-                        for (int r = 0; r < rows; ++r) {
-                            const SignMag w = toSignMag((*wp)(r, c1));
-                            ctbl.push_back(arena.get(
-                                {kWeightRngDim, rng_bits, mul,
-                                 w.magnitude},
-                                wvals, budget));
-                            cneg.push_back(w.negative ? i64(-1)
-                                                      : i64(0));
-                        }
-                        ++c1;
-                    }
-                }
-                const int pcols = c1 - c0;
-                // Transpose the staging to row-major grids so the MAC
-                // inner loop walks contiguous pointers per array row.
-                std::vector<const u32 *> &wtbl = scratch.grid_a;
-                std::vector<i64> &wneg = scratch.grid_neg;
-                wtbl.resize(std::size_t(rows) * pcols);
-                wneg.resize(std::size_t(rows) * pcols);
-                poisonArena(wtbl);
-                poisonArena(wneg);
-                for (int cl = 0; cl < pcols; ++cl)
-                    for (int r = 0; r < rows; ++r) {
-                        wtbl[std::size_t(r) * pcols + cl] =
-                            ctbl[std::size_t(cl) * rows + r];
-                        wneg[std::size_t(r) * pcols + cl] =
-                            cneg[std::size_t(cl) * rows + r];
-                    }
-
-                USYS_PROF_SCOPE("fold.packed.mac");
-                for (int m = 0; m < m_rows; ++m) {
-                    i64 *out_row = &out(m, c0);
-                    // Compacted iteration when a plan is live; the
-                    // ones == 0 check stays either way — an early-
-                    // terminated window can deliver zero 1s even for a
-                    // nonzero magnitude.
-                    const u32 *idx = sp ? sp->rowIdx(m) : nullptr;
-                    const u32 cnt = sp ? sp->rowCount(m) : u32(rows);
-                    for (u32 i = 0; i < cnt; ++i) {
-                        const int r = sp ? int(idx[i]) : int(i);
-                        const u32 ones =
-                            in_ones[std::size_t(m) * rows + r];
-                        // All-zero input stream: every count is 0.
-                        if (zskip && ones == 0)
-                            continue;
-                        const i64 nin =
-                            in_neg[std::size_t(m) * rows + r];
-                        const u32 *const *trow =
-                            &wtbl[std::size_t(r) * pcols];
-                        const i64 *nrow =
-                            &wneg[std::size_t(r) * pcols];
-                        for (int cl = 0; cl < pcols; ++cl) {
-                            const i64 v = i64(trow[cl][ones]);
-                            const i64 ng = nrow[cl] ^ nin; // 0 or -1
-                            out_row[cl] += (v ^ ng) - ng;
-                        }
-                    }
-                }
-                c0 = c1;
-            }
-            break;
-        }
-
-        StreamCache wstreams(wvals, maxAbs(*wp), scratch.stream_pool);
-        for (int m = 0; m < m_rows; ++m) {
-            for (int r = 0; r < rows; ++r) {
-                const SignMag in = toSignMag(input(m, r));
-                // ActivationStream site: corrupt the packed input stream
-                // before counting — the corrupted ones-count is all the
-                // weight side ever sees (the C-BSG advances on observed
-                // 1-bits), matching the scalar engine's corrupted
-                // consumption counters. Faulted MACs bypass the memo.
-                u32 ones;
-                std::optional<Fault> af;
-                if (fa)
-                    af = plan->activationStream(tile, m, r, mul);
-                if (af) {
-                    if (rate) {
-                        RateBsg gen(in.magnitude, kInputRngDim, rng_bits);
-                        ones = u32(onesInWindow(gen, mul, &*af));
-                    } else {
-                        TemporalBsg gen(in.magnitude, rng_bits);
-                        ones = u32(onesInWindow(gen, mul, &*af));
-                    }
-                } else {
-                    ones = ones_of(in.magnitude);
-                }
-                // Zero delivered ones: every count is 0 and weight-
-                // stream faults only cover indices below the ones-count,
-                // so the whole column sweep contributes exactly nothing
-                // — unless an accumulator fault could still fire on it.
-                if (sparse && !fo && ones == 0)
-                    continue;
-                for (int c = 0; c < cols; ++c) {
-                    const SignMag w = toSignMag((*wp)(r, c));
-                    i64 count =
-                        wstreams.forThreshold(w.magnitude).prefixOnes(ones);
-                    // WeightStream site: re-derive the covered
-                    // comparison bits b_k = (wrng.at(k) < |w|) and swap
-                    // each for its corrupted value — only indices below
-                    // the delivered ones-count ever reach a comparator.
-                    if (fs)
-                        if (const auto f = plan->weightStream(tile, m, r,
-                                                              c, mul)) {
-                            const u64 hi =
-                                std::min<u64>(u64(f->first) + f->len,
-                                              ones);
-                            for (u64 k = f->first; k < hi; ++k) {
-                                const bool b =
-                                    wvals[std::size_t(k)] < w.magnitude;
-                                count += i64(f->corruptBit(b, u32(k))) -
-                                         i64(b);
-                            }
-                        }
-                    i64 contrib =
-                        (in.negative != w.negative) ? -count : count;
-                    // Accumulator site: per-MAC signed OREG contribution,
-                    // pre-merge, pre-shift — same point as finishMac.
-                    if (fo)
-                        if (const auto f = plan->accumulator(tile, m, r, c,
-                                                             acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
-                    out(m, c) += contrib;
-                }
-            }
-        }
-        break;
-      }
-
-      case Scheme::UgemmHybrid: {
-        const int rng_bits = kern.bits;
-        const i64 bias = i64(1) << (kern.bits - 1);
-        // Bipolar uMUL: input 1-cycles consume the polarity-1 weight RNG
-        // (product bit = rnum < woffset), input 0-cycles the polarity-0
-        // RNG (product bit = !(rnum_alt < woffset)).
-        const u32 max_woff = u32(maxAbs(*wp) + bias);
-        FoldScratch &scratch = foldScratch();
-        const std::vector<u32> &s1vals =
-            sharedSobolValues(kWeightRngDim, rng_bits, mul);
-        const std::vector<u32> &s0vals = sharedSobolValues(
-            kWeightRngDim + kWeightAltRngOffset, rng_bits, mul);
-        std::vector<i64> &ones_memo = scratch.onesMemo(
-            2, rng_bits, mul, std::size_t(maxAbs(input) + bias) + 1);
-        auto ones_of = [&](i32 value) -> u32 {
-            i64 &slot = ones_memo[std::size_t(value + bias)];
-            if (slot < 0) {
-                BipolarRateBsg gen(value, kInputRngDim, kern.bits);
-                slot = i64(onesInWindow(gen, mul));
-            }
-            return u32(slot);
-        };
-
-        if (panelGemmEnabled() && !fa && !fs && !fo) {
-            // --- Cache-blocked panel fast path (DESIGN.md §13) ------
-            // Bipolar MAC as two table lookups per column:
-            //   contrib = t1(woff)[ones] + (zeros - t0(woff)[zeros])
-            //           - bias
-            // No zero-skip here: the bias makes even zero-valued
-            // operands contribute nonzero bipolar counts.
-            USYS_PROF_SCOPE("fold.packed.panel");
-            const std::size_t budget = std::max<std::size_t>(
-                std::size_t(panelBudgetKb()) * 1024,
-                2 * (std::size_t(mul) + 1) * sizeof(u32));
-
-            std::vector<u32> &in_ones = scratch.in_ones;
-            in_ones.resize(std::size_t(m_rows) * rows);
-            poisonArena(in_ones);
-            {
-                USYS_PROF_SCOPE("fold.packed.stage");
-                for (int m = 0; m < m_rows; ++m)
-                    for (int r = 0; r < rows; ++r)
-                        in_ones[std::size_t(m) * rows + r] =
-                            ones_of(input(m, r));
-            }
-
-            CountTableArena &arena = scratch.tables;
-            for (int c0 = 0; c0 < cols;) {
-                std::vector<const u32 *> &ctbl1 = scratch.stage_a;
-                std::vector<const u32 *> &ctbl0 = scratch.stage_b;
-                ctbl1.clear();
-                ctbl0.clear();
-                arena.beginPanel();
-                int c1 = c0;
-                {
-                    USYS_PROF_SCOPE("fold.packed.stage");
-                    while (c1 < cols &&
-                           (c1 == c0 || arena.pinnedBytes() < budget)) {
-                        for (int r = 0; r < rows; ++r) {
-                            const u32 woff =
-                                u32((*wp)(r, c1) + bias);
-                            ctbl1.push_back(arena.get(
-                                {kWeightRngDim, rng_bits, mul, woff},
-                                s1vals, budget));
-                            ctbl0.push_back(arena.get(
-                                {kWeightRngDim + kWeightAltRngOffset,
-                                 rng_bits, mul, woff},
-                                s0vals, budget));
-                        }
-                        ++c1;
-                    }
-                }
-                const int pcols = c1 - c0;
-                std::vector<const u32 *> &wtbl1 = scratch.grid_a;
-                std::vector<const u32 *> &wtbl0 = scratch.grid_b;
-                wtbl1.resize(std::size_t(rows) * pcols);
-                wtbl0.resize(std::size_t(rows) * pcols);
-                poisonArena(wtbl1);
-                poisonArena(wtbl0);
-                for (int cl = 0; cl < pcols; ++cl)
-                    for (int r = 0; r < rows; ++r) {
-                        wtbl1[std::size_t(r) * pcols + cl] =
-                            ctbl1[std::size_t(cl) * rows + r];
-                        wtbl0[std::size_t(r) * pcols + cl] =
-                            ctbl0[std::size_t(cl) * rows + r];
-                    }
-
-                USYS_PROF_SCOPE("fold.packed.mac");
-                for (int m = 0; m < m_rows; ++m) {
-                    i64 *out_row = &out(m, c0);
-                    for (int r = 0; r < rows; ++r) {
-                        const u32 ones =
-                            in_ones[std::size_t(m) * rows + r];
-                        const u32 zeros = mul - ones;
-                        const i64 zb = i64(zeros) - bias;
-                        const u32 *const *t1row =
-                            &wtbl1[std::size_t(r) * pcols];
-                        const u32 *const *t0row =
-                            &wtbl0[std::size_t(r) * pcols];
-                        for (int cl = 0; cl < pcols; ++cl)
-                            out_row[cl] += i64(t1row[cl][ones]) -
-                                           i64(t0row[cl][zeros]) + zb;
-                    }
-                }
-                c0 = c1;
-            }
-            break;
-        }
-
-        StreamCache s1(s1vals, max_woff, scratch.stream_pool);
-        StreamCache s0(s0vals, max_woff, scratch.stream_pool);
-        for (int m = 0; m < m_rows; ++m) {
-            for (int r = 0; r < rows; ++r) {
-                // ActivationStream site: corrupt the packed bipolar
-                // stream before counting (memo bypassed); the corrupted
-                // split between 1-cycles and 0-cycles drives both
-                // polarity lanes exactly as the scalar front end's
-                // corrupted consumption counters do.
-                u32 ones;
-                std::optional<Fault> af;
-                if (fa)
-                    af = plan->activationStream(tile, m, r, mul);
-                if (af) {
-                    BipolarRateBsg gen(input(m, r), kInputRngDim,
-                                       kern.bits);
-                    ones = u32(onesInWindow(gen, mul, &*af));
-                } else {
-                    ones = ones_of(input(m, r));
-                }
-                const u32 zeros = mul - ones;
-                for (int c = 0; c < cols; ++c) {
-                    const u32 woff = u32((*wp)(r, c) + bias);
-                    i64 count =
-                        i64(s1.forThreshold(woff).prefixOnes(ones)) +
-                        (i64(zeros) - s0.forThreshold(woff).prefixOnes(zeros));
-                    // WeightStream site: the polarity-1 lane is the same
-                    // C-BSG structure the unipolar schemes fault, so
-                    // corrupt its covered comparison bits only.
-                    if (fs)
-                        if (const auto f = plan->weightStream(tile, m, r,
-                                                              c, mul)) {
-                            const u64 hi =
-                                std::min<u64>(u64(f->first) + f->len,
-                                              ones);
-                            for (u64 k = f->first; k < hi; ++k) {
-                                const bool b =
-                                    s1vals[std::size_t(k)] < woff;
-                                count += i64(f->corruptBit(b, u32(k))) -
-                                         i64(b);
-                            }
-                        }
-                    // finishMac's bipolar count -> signed product offset.
-                    i64 contrib = count - bias;
-                    if (fo)
-                        if (const auto f = plan->accumulator(tile, m, r, c,
-                                                             acc_width))
-                            contrib = f->applyToInt(contrib, acc_width);
-                    out(m, c) += contrib;
-                }
-            }
-        }
-        break;
-      }
-    }
-
-    if (shift) {
-        for (int m = 0; m < m_rows; ++m)
-            for (int c = 0; c < cols; ++c)
-                out(m, c) *= i64(1) << shift;
+    } else {
+        streamFold(cfg_, input, *wp, out, tile);
     }
 
     if (!stats)

@@ -4,41 +4,42 @@
  *
  * PackedArray computes exactly the same FoldResult as SystolicArray /
  * RtlArray — same outputs, same cycle counts, same stats-registry
- * deltas under the same stat names — but advances the unary bitstreams
- * 64 simulated cycles per host word operation instead of one nextBit()
- * per PE per cycle.
+ * deltas under the same stat names — without stepping a single
+ * simulated cycle.
  *
- * The key identity that makes this possible: the C-BSG weight RNG
- * advances only on input 1-bits, so the k-th random number a PE
- * compares against WABS is wrng.at(k) regardless of *where* the input
- * 1-bits fall in the MAC interval. A rate/temporal MAC therefore
- * reduces to two packed-popcount queries:
+ * The key identity: the C-BSG weight RNG advances only on input
+ * 1-bits, so the k-th random number a PE compares against WABS is
+ * wrng.at(k) regardless of *where* the input 1-bits fall in the MAC
+ * interval. A rate/temporal MAC therefore reduces to
  *
- *     ones  = popcount(input stream over the mul window)   (per row)
- *     count = popcount(first `ones` bits of the packed
- *             weight-comparison stream bit_k = (wrng.at(k) < wabs))
+ *     count = #{ j < ones : wrng.at(j) < |w| }
  *
- * with the sign handled in sign-magnitude exactly as in PeCore, and the
- * uGEMM-H bipolar variant splitting the count across the polarity-1 and
- * polarity-0 weight streams. Early termination truncates the input
- * window (masked final word); the top-row shifter rescale is identical
- * to SystolicArray. See DESIGN.md §8 for the full derivation.
+ * with `ones` the input 1-bits delivered in the (possibly early-
+ * terminated) window and the sign handled in sign-magnitude exactly as
+ * in PeCore; uGEMM-H splits the count across its two polarity lanes,
+ * and the binary and temporal-unary (tubGEMM/tuGEMM) schemes are exact
+ * integer products once the activation's code or ones-count is staged.
+ * See DESIGN.md §8 for the full derivation.
  *
- * On fault-free folds (and under weight-register / DRAM fault plans,
- * which pre-corrupt the staged codes) the MAC loop additionally runs
- * cache-blocked: weight streams are staged once per column panel as
- * prefix-count tables in an L2-budgeted per-worker arena, and
- * zero-magnitude streams skip their MAC work outright. Both transforms
- * are bit-exact — including stats and the fault census — and can be
- * disabled with --no-panel / --no-zero-skip. See DESIGN.md §13.
+ * A fold with no per-MAC fault site active (weight-register and DRAM
+ * faults pre-corrupt the staged codes; for the staged-value schemes so
+ * do activation faults) runs GemmExecutor's row kernel, which reads
+ * these counts from the shared product tables (DESIGN.md §17). Folds
+ * under activation-stream, weight-stream or accumulator faults, and
+ * unary widths beyond the tables, run the per-MAC packed-stream path,
+ * which materializes the weight-comparison streams as packed words and
+ * answers each count with one masked popcount (DESIGN.md §13).
  */
 
 #ifndef USYS_ARCH_PACKED_ARRAY_H
 #define USYS_ARCH_PACKED_ARRAY_H
 
+#include <optional>
+
 #include "common/matrix.h"
 #include "common/types.h"
 #include "arch/array.h"
+#include "arch/functional.h"
 
 namespace usys {
 
@@ -58,24 +59,19 @@ class PackedArray
      *        accumulates the registry delta for a later ordered flush()
      * @param tile fold index for fault-site resolution (SystolicGemm
      *        numbers folds ti * k_tiles + kt; standalone folds use 0)
-     * @param sparsity optional pre-built nonzero-index plan of `input`
-     *        (SystolicGemm builds one per staged A-tile and shares it
-     *        across column shards). Null means the fold builds its own
-     *        when the sparse paths are enabled. Plans encode skips the
-     *        engine may take, never results — outputs, cycles, stats,
-     *        and the fault census are bit-identical with or without one.
      */
     SystolicArray::FoldResult runFold(const Matrix<i32> &input,
                                       const Matrix<i32> &weights,
                                       FoldStatsDelta *stats = nullptr,
-                                      u64 tile = 0,
-                                      const SparsityPlan *sparsity =
-                                          nullptr) const;
+                                      u64 tile = 0) const;
 
     const ArrayConfig &config() const { return cfg_; }
 
   private:
     ArrayConfig cfg_;
+    // Row kernel over the product tables; empty for unary widths the
+    // tables do not cover.
+    std::optional<GemmExecutor> table_;
 };
 
 } // namespace usys

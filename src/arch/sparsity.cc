@@ -20,22 +20,4 @@ foldSparsityCensus(const KernelConfig &kern, const Matrix<i32> &input,
     return c;
 }
 
-void
-SparsityPlan::build(const Matrix<i32> &tile)
-{
-    const int m_rows = tile.rows();
-    const int r_cols = tile.cols();
-    idx_.clear();
-    off_.clear();
-    off_.reserve(std::size_t(m_rows) + 1);
-    off_.push_back(0);
-    for (int m = 0; m < m_rows; ++m) {
-        for (int r = 0; r < r_cols; ++r)
-            if (tile(m, r) != 0)
-                idx_.push_back(u32(r));
-        off_.push_back(u32(idx_.size()));
-    }
-    any_zero_ = idx_.size() != std::size_t(m_rows) * std::size_t(r_cols);
-}
-
 } // namespace usys

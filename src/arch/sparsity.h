@@ -1,25 +1,15 @@
 /**
  * @file
- * Value-sparsity census and compacted nonzero-index plans (DESIGN.md
- * §16).
+ * Value-sparsity census (DESIGN.md §16).
  *
  * A zero-magnitude operand in a unary scheme produces an all-zero
  * bitstream: its entire MAC, its stream generation, and its toggle
- * activity can be elided without changing a single output bit. The two
- * pieces here make that a first-class, measured property:
- *
- *  - SparsityCensus: per-fold counts of zero activation/weight elements
- *    and the MAC slots an all-zero activation stream makes skippable.
- *    A pure function of the tile data (never of engine execution), so
- *    every engine books identical counts and stats dumps stay
- *    byte-identical whether the skips actually happen or not.
- *
- *  - SparsityPlan: per input row of a staged M x R activation tile, the
- *    compacted list of nonzero column indices. Built once per staged
- *    tile (SystolicGemm panel mode shares one plan across all column
- *    shards that reuse the tile) and consumed by the packed fold's
- *    panel, GEMM-row, and stream-cache paths, which then iterate only
- *    the nonzero work.
+ * activity can be elided without changing a single output bit.
+ * SparsityCensus makes that a measured property: per-fold counts of
+ * zero activation/weight elements and the MAC slots an all-zero
+ * activation stream makes skippable. It is a pure function of the tile
+ * data (never of engine execution), so every engine books identical
+ * counts and stats dumps stay byte-identical whichever skips run.
  *
  * The uGEMM-H carve-out: its bipolar MAC adds a bias term even for
  * zero-valued operands, so nothing is skippable there — the census
@@ -29,8 +19,6 @@
 
 #ifndef USYS_ARCH_SPARSITY_H
 #define USYS_ARCH_SPARSITY_H
-
-#include <vector>
 
 #include "common/matrix.h"
 #include "common/types.h"
@@ -56,30 +44,6 @@ struct SparsityCensus
 SparsityCensus foldSparsityCensus(const KernelConfig &kern,
                                   const Matrix<i32> &input,
                                   const Matrix<i32> &weights);
-
-/** Compacted nonzero column indices per row of an M x R tile. */
-class SparsityPlan
-{
-  public:
-    /** (Re)build from a staged activation tile, reusing capacity. */
-    void build(const Matrix<i32> &tile);
-
-    bool built() const { return !off_.empty(); }
-    int inputRows() const { return int(off_.size()) - 1; }
-
-    /** True when at least one element of the tile is zero (a fully
-     *  dense tile makes the compact iteration pure overhead). */
-    bool anyZero() const { return any_zero_; }
-
-    /** Nonzero column indices of input row m (rowCount(m) entries). */
-    const u32 *rowIdx(int m) const { return idx_.data() + off_[m]; }
-    u32 rowCount(int m) const { return off_[m + 1] - off_[m]; }
-
-  private:
-    std::vector<u32> idx_;
-    std::vector<u32> off_; // off_[m] .. off_[m+1) spans row m in idx_
-    bool any_zero_ = false;
-};
 
 } // namespace usys
 

@@ -8,23 +8,12 @@
  *   --trace-out <path>    write a chrome://tracing / Perfetto JSON trace
  *   --no-packed           force the scalar reference simulation engine
  *   --packed              re-enable the packed engine (the default)
- *   --no-panel            disable cache-blocked panel GEMM (legacy
- *                         per-MAC stream queries; for A/B comparison)
- *   --panel               re-enable panel blocking (the default)
- *   --panel-kb <n>        per-worker panel arena budget in KiB;
- *                         overrides USYS_L2_KB and the sysfs L2 probe
- *   --no-zero-skip        disable the zero-magnitude stream fast path
- *   --zero-skip           re-enable zero-stream skipping (the default)
- *   --no-sparse           disable the sparsity plans (compacted
- *                         nonzero-index iteration); per-element
- *                         zero-skip checks remain
- *   --sparse              re-enable sparsity plans (the default)
  *   --threads <n>         executor thread count (0 = auto: USYS_THREADS
  *                         env, else hardware_concurrency())
  *   --simd <mode>         SIMD kernel tier: auto (default; best the CPU
- *                         supports), avx2, or generic — overrides the
- *                         USYS_SIMD env; requesting an unavailable
- *                         tier is fatal
+ *                         supports), avx512, avx2, or generic —
+ *                         overrides the USYS_SIMD env; requesting an
+ *                         unavailable tier is fatal
  *   --profile-json <path>       write the merged profiler call-tree
  *   --profile-collapsed <path>  write collapsed-stack flamegraph lines
  *   --metrics-out <path>        JSON-lines registry timeseries
@@ -132,66 +121,21 @@ class ProgressMeter
 };
 
 /**
- * Global gate for the fast simulation path: word-packed (SWAR) unary
- * kernels plus tile-/layer-parallel scheduling. Defaults to on; the
- * scalar reference engine stays available behind --no-packed for
- * cross-checking and debugging. Both engines are bit-exact, produce the
- * same cycle counts, and commit identical stats-registry deltas.
+ * Global gate for the fast simulation path, and the only engine
+ * option: PackedArray folds plus tile-/layer-parallel scheduling.
+ * A fault-free packed fold runs the product-table row kernel
+ * (GemmExecutor::runRow, DESIGN.md §17); folds under per-MAC fault
+ * sites and unary widths beyond the tables run packed bitstreams
+ * (DESIGN.md §13) — chosen from the fault plan and bitwidth, never
+ * from a flag. Defaults to on; the scalar reference engine stays
+ * available behind --no-packed as the referee. Both engines are
+ * bit-exact, produce the same cycle counts, and commit identical
+ * stats-registry deltas.
  */
 bool packedEngineEnabled();
 
 /** Override the packed-engine gate (tests and CLI flag handling). */
 void setPackedEngineEnabled(bool on);
-
-/**
- * Gate for the cache-blocked panel GEMM inside the packed engine
- * (DESIGN.md §13): column panels sized to the panel arena budget, with
- * per-worker prefix-count tables staged once per panel. Defaults to
- * on; --no-panel falls back to the per-MAC stream-query loop. Both
- * paths are bit-exact (outputs, cycles, stats, fault census).
- */
-bool panelGemmEnabled();
-
-/** Override the panel-GEMM gate (tests and CLI flag handling). */
-void setPanelGemmEnabled(bool on);
-
-/**
- * Gate for the zero-magnitude stream fast path: operands whose packed
- * unary stream is all-zero contribute exactly zero, so the panel MAC
- * loop skips them. Defaults to on; --no-zero-skip disables. Skipping
- * never changes results, stats, or the fault census (the skip is only
- * taken where no fault site is active).
- */
-bool zeroSkipEnabled();
-
-/** Override the zero-skip gate (tests and CLI flag handling). */
-void setZeroSkipEnabled(bool on);
-
-/**
- * Gate for the sparsity-plan layer above zero skipping (DESIGN.md §16):
- * per staged activation tile, a compacted nonzero-index plan that the
- * packed fold iterates instead of testing every element for zero. Only
- * consulted while zero skipping itself is enabled. Defaults to on;
- * --no-sparse falls back to the per-element checks. Plans never change
- * results, stats, or the fault census — they only reorder skipped work
- * out of the loops.
- */
-bool sparseEnabled();
-
-/** Override the sparsity-plan gate (tests and CLI flag handling). */
-void setSparseEnabled(bool on);
-
-/**
- * Per-worker panel arena budget in KiB. Resolution order: --panel-kb
- * flag (via setPanelBudgetKb), USYS_L2_KB environment variable, the
- * sysfs L2 cache size of cpu0, then a 512 KiB fallback. The packed
- * engine sizes its column panels so the staged prefix-count tables fit
- * this budget, keeping panel working sets L2-resident.
- */
-u32 panelBudgetKb();
-
-/** Override the panel budget (0 restores automatic resolution). */
-void setPanelBudgetKb(u32 kb);
 
 } // namespace usys
 

@@ -116,8 +116,6 @@ bestAvailable()
         return avx512;
     if (const SimdKernels *avx2 = avx2Kernels())
         return avx2;
-    if (const SimdKernels *neon = neonKernels())
-        return neon;
     return &kGeneric;
 }
 
@@ -147,15 +145,8 @@ resolveFromEnv()
              "(cpu or build); using best available");
         return bestAvailable();
     }
-    if (mode == "neon") {
-        if (const SimdKernels *neon = neonKernels())
-            return neon;
-        warn("USYS_SIMD=neon but NEON is unavailable "
-             "(not an arm64 build); using best available");
-        return bestAvailable();
-    }
     warn("USYS_SIMD='" + mode + "' not recognized "
-         "(auto|avx512|avx2|neon|generic); using auto");
+         "(auto|avx512|avx2|generic); using auto");
     return bestAvailable();
 }
 
@@ -171,8 +162,6 @@ simdLevelName(SimdLevel level)
         return "avx2";
       case SimdLevel::Avx512:
         return "avx512";
-      case SimdLevel::Neon:
-        return "neon";
     }
     return "unknown";
 }
@@ -221,14 +210,6 @@ avx512Kernels()
     return detail::avx512KernelsImpl();
 }
 
-const SimdKernels *
-neonKernels()
-{
-    // ASIMD is architecturally mandatory on AArch64, so build support
-    // implies runtime support — no probe needed.
-    return detail::neonKernelsImpl();
-}
-
 const SimdKernels &
 simdKernels()
 {
@@ -264,13 +245,9 @@ setSimdMode(const std::string &mode)
         fatalIf(k == nullptr,
                 "--simd avx512 requested but AVX-512 is unavailable "
                 "(cpu or build)");
-    } else if (mode == "neon") {
-        k = neonKernels();
-        fatalIf(k == nullptr,
-                "--simd neon requested but this is not an arm64 build");
     } else {
         fatal("unknown SIMD mode '" + mode +
-              "' (expected auto, avx512, avx2, neon, or generic)");
+              "' (expected auto, avx512, avx2, or generic)");
     }
     g_active.store(k, std::memory_order_release);
 }

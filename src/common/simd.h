@@ -18,10 +18,6 @@
  *            packing, 16-lane fp32 and 8-lane widening integer GEMM
  *            rows; own translation unit with -mavx512{f,bw,vpopcntdq},
  *            runtime CPUID-gated like the AVX2 tier
- *   neon     AArch64 ASIMD: cnt/addv popcounts, compare+mask threshold
- *            packing, vmull_s32 widening integer GEMM rows; own
- *            translation unit, available whenever the build targeted
- *            arm64 (ASIMD is architecturally mandatory there)
  *
  * Every kernel is BIT-EXACT against its generic counterpart — integer
  * kernels trivially, the fp32 kernel because both sides perform exactly
@@ -43,19 +39,16 @@
 namespace usys {
 
 /**
- * Dispatch tiers, ordered worst to best within an ISA family; the x86
- * and arm tiers never coexist on one host, so cross-family order is
- * immaterial.
+ * Dispatch tiers, ordered worst to best.
  */
 enum class SimdLevel
 {
     Generic = 0,
     Avx2 = 1,
     Avx512 = 2,
-    Neon = 3,
 };
 
-/** Human-readable tier name ("generic", "avx2", "avx512", "neon"). */
+/** Human-readable tier name ("generic", "avx2", "avx512"). */
 const char *simdLevelName(SimdLevel level);
 
 /**
@@ -119,12 +112,6 @@ const SimdKernels *avx2Kernels();
  */
 const SimdKernels *avx512Kernels();
 
-/**
- * The NEON table, or nullptr when the build did not target AArch64.
- * No runtime probe: ASIMD is mandatory on every arm64 CPU.
- */
-const SimdKernels *neonKernels();
-
 /** Runtime CPU feature probe (independent of build support). */
 bool cpuSupportsAvx2();
 
@@ -143,8 +130,8 @@ const SimdKernels &simdKernels();
 SimdLevel simdLevel();
 
 /**
- * Force a dispatch tier: "auto", "generic", "avx2", "avx512", or
- * "neon". Unlike the env path this is an explicit request (--simd flag,
+ * Force a dispatch tier: "auto", "generic", "avx2", or "avx512".
+ * Unlike the env path this is an explicit request (--simd flag,
  * tests), so an unknown mode or an unavailable tier is fatal(). Safe
  * to call at any time — every tier is bit-exact, so switching mid-run
  * cannot change results.
@@ -156,8 +143,6 @@ namespace detail {
 const SimdKernels *avx2KernelsImpl();
 /** Defined in simd_avx512.cc; null when built without AVX-512. */
 const SimdKernels *avx512KernelsImpl();
-/** Defined in simd_neon.cc; null when not built for AArch64. */
-const SimdKernels *neonKernelsImpl();
 } // namespace detail
 
 } // namespace usys

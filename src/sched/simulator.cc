@@ -31,10 +31,8 @@ computeLayerStats(const SystemConfig &sys, const GemmLayer &layer)
     // operands cost full streams. 0 leaves every number unchanged.
     const Scheme sch = sys.array.kernel.scheme;
     const double zskip_frac =
-        (sparseEnabled() && zeroSkipEnabled() && isUnary(sch) &&
-         sch != Scheme::UgemmHybrid)
-            ? layer.act_sparsity
-            : 0.0;
+        (isUnary(sch) && sch != Scheme::UgemmHybrid) ? layer.act_sparsity
+                                                     : 0.0;
     s.sparsity_frac = zskip_frac;
     const auto derate = [&](u64 bytes) {
         return u64(std::llround(double(bytes) * (1.0 - zskip_frac)));

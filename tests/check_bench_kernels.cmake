@@ -10,7 +10,7 @@ set(stats ${WORK_DIR}/BENCH_kernels.json)
 
 # Sanitized trees still run the full equivalence checks, but the
 # sparse-speedup floor is release-only: instrumentation skews the
-# plan-build-vs-MAC cost ratio (ASan redzones land on the census/plan
+# census-vs-MAC cost ratio (ASan redzones land on the census
 # allocations), and under TSan the no_sanitize AVX-512 kernels make
 # every generic-vs-SIMD ratio incommensurable with a release run.
 set(sparse_gate --min-sparse-speedup 2)
@@ -18,8 +18,8 @@ if(SANITIZED)
     set(sparse_gate)
 endif()
 
-# perf_smoke itself asserts packed/scalar, SIMD/generic, and panel
-# blocked/unblocked equivalence per kernel and exits nonzero when a
+# perf_smoke itself asserts packed/scalar, SIMD/generic, and table/
+# stream fold equivalence per kernel and exits nonzero when a
 # perf gate misses:
 #   --min-speedup 10             full-period UR packed-vs-scalar
 #   --min-simd-speedup 2         SIMD bulk popcount (self-skips when
@@ -32,24 +32,27 @@ endif()
 #                                single-vCPU hosts the measured
 #                                AVX-512 wall-clock ratio tops out
 #                                near its ~3.5x port ceiling.
-#   --min-panel-speedup 1.5      cache-blocked vs unblocked packed
-#                                GEMM on a 64x64 8-bit tile
-#   --min-sparse-speedup 2       sparsity-plan path vs all zero
-#                                exploitation disabled, 90%-sparse
-#                                256x64x64 UR fold (self-skips on
-#                                hosts too slow to time the fold)
+#   --min-table-speedup 1.5      product-table row kernel vs per-MAC
+#                                packed-stream fold on the same
+#                                64x64 8-bit UR tile (the stream leg
+#                                runs under an accumulator fault plan
+#                                that fires no event)
+#   --min-sparse-speedup 2       t(s0)/t(s90): the same 256x64x64 UR
+#                                fold at 0% vs 90% activation
+#                                sparsity (self-skips on hosts too
+#                                slow to time the fold)
 #   --max-profile-overhead-pct 2 compiled-in-but-disabled profiler
 #                                cost on the packed UR fold (A/A gated)
 execute_process(
     COMMAND ${BENCH} --stats-json ${stats} --min-speedup 10
             --min-simd-speedup 2 --min-gemm-row-speedup 2.5
-            --min-panel-speedup 1.5 ${sparse_gate}
+            --min-table-speedup 1.5 ${sparse_gate}
             --max-profile-overhead-pct 2
     RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "perf_smoke failed (${rc}) — equivalence "
                         "mismatch or a perf gate missed (UR 10x, SIMD "
-                        "popcount 2x, gemm row 2.5x, panel 1.5x, sparse "
+                        "popcount 2x, gemm row 2.5x, table 1.5x, sparse "
                         "2x, or profiling-disabled overhead above 2%)")
 endif()
 

@@ -109,7 +109,11 @@ INSTANTIATE_TEST_SUITE_P(
         // tuGEMM at small bits: the scalar referee walks the full
         // 2^(2(N-1))-cycle square period per MAC.
         PackedCase{Scheme::TuGemm, 4, 0, 4, 4},
-        PackedCase{Scheme::TuGemm, 5, 0, 3, 3}));
+        PackedCase{Scheme::TuGemm, 5, 0, 3, 3},
+        // Beyond the product tables (unipolar > 13 bits, bipolar > 12):
+        // the per-MAC packed-stream path is the only packed path.
+        PackedCase{Scheme::USystolicRate, 14, 0, 3, 3},
+        PackedCase{Scheme::UgemmHybrid, 13, 0, 3, 3}));
 
 TEST(PackedArray, MatchesRtlRefereeAcrossEbt)
 {
@@ -194,32 +198,6 @@ class PackedFlagGuard
     bool saved_;
 };
 
-/** Saves and restores the panel-GEMM and sparsity knobs (DESIGN.md §13,
- * §16). The budget override is reset to 0 = auto, the process-start
- * state. */
-class PanelFlagsGuard
-{
-  public:
-    PanelFlagsGuard()
-        : packed_(packedEngineEnabled()), panel_(panelGemmEnabled()),
-          zskip_(zeroSkipEnabled()), sparse_(sparseEnabled())
-    {}
-    ~PanelFlagsGuard()
-    {
-        setPackedEngineEnabled(packed_);
-        setPanelGemmEnabled(panel_);
-        setZeroSkipEnabled(zskip_);
-        setSparseEnabled(sparse_);
-        setPanelBudgetKb(0);
-    }
-
-  private:
-    bool packed_;
-    bool panel_;
-    bool zskip_;
-    bool sparse_;
-};
-
 TEST(SystolicGemm, PackedAndScalarEnginesAgreeIncludingStats)
 {
     PackedFlagGuard guard;
@@ -255,306 +233,151 @@ TEST(SystolicGemm, PackedAndScalarEnginesAgreeIncludingStats)
     }
 }
 
-TEST(SystolicGemm, PanelBlockedMatchesUnblockedAcrossThreads)
+/** Restores the executor's thread count on scope exit. */
+class ThreadsGuard
 {
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    // A 16 KiB budget (the floor) forces several column panels per
-    // tile plus arena eviction between folds, the interesting regime.
-    setPanelBudgetKb(16);
-    Executor &ex = Executor::global();
-    const unsigned saved_threads = ex.threads();
+  public:
+    ThreadsGuard() : saved_(Executor::global().threads()) {}
+    ~ThreadsGuard() { Executor::global().setThreads(saved_); }
 
+  private:
+    unsigned saved_;
+};
+
+class PackedGemmVsScalar : public ::testing::TestWithParam<KernelConfig>
+{};
+
+TEST_P(PackedGemmVsScalar, ZeroHeavyOperandsAcrossThreads)
+{
+    // Zero skipping is exact: with ~60% zero activations plus a column
+    // of zero weights, the packed GEMM (fault-free folds on the table
+    // row kernel) must match the --no-packed scalar referee in outputs,
+    // cycles, folds and the whole stats dump — sparsity census
+    // included — at 1 and 3 executor threads.
+    const KernelConfig kern = GetParam();
+    PackedFlagGuard guard;
+    ThreadsGuard threads;
     ArrayConfig cfg;
     cfg.rows = 4;
     cfg.cols = 4;
+    cfg.kernel = kern;
+    Prng prng(u64(int(kern.scheme)) * 11 + u64(kern.et_bits) + 5000);
+    auto a = randomMatrix(6, 10, kern.bits, prng);
+    auto b = randomMatrix(10, 9, kern.bits, prng);
+    for (int r = 0; r < a.rows(); ++r)
+        for (int c = 0; c < a.cols(); ++c)
+            if (prng.below(100) < 60)
+                a(r, c) = 0;
+    for (int c = 0; c < b.cols(); c += 3)
+        b(1, c) = 0;
+
+    setPackedEngineEnabled(false);
+    statsRegistry().reset();
+    const auto scalar = SystolicGemm(cfg).run(a, b);
+    const std::string scalar_dump = statsRegistry().dumpText();
+    ASSERT_NE(scalar_dump.find("sparsity_zero_acts"), std::string::npos);
+
+    setPackedEngineEnabled(true);
+    for (unsigned nthreads : {1u, 3u}) {
+        Executor::global().setThreads(nthreads);
+        statsRegistry().reset();
+        const auto packed = SystolicGemm(cfg).run(a, b);
+        const std::string packed_dump = statsRegistry().dumpText();
+        EXPECT_EQ(packed.acc, scalar.acc) << kern.name() << " t" << nthreads;
+        EXPECT_EQ(packed.cycles, scalar.cycles)
+            << kern.name() << " t" << nthreads;
+        EXPECT_EQ(packed.folds, scalar.folds)
+            << kern.name() << " t" << nthreads;
+        EXPECT_EQ(packed_dump, scalar_dump)
+            << kern.name() << " t" << nthreads;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, PackedGemmVsScalar,
+    ::testing::Values(KernelConfig{Scheme::BinaryParallel, 8, 0},
+                      KernelConfig{Scheme::BinarySerial, 8, 0},
+                      KernelConfig{Scheme::USystolicRate, 8, 0},
+                      KernelConfig{Scheme::USystolicRate, 8, 6},
+                      KernelConfig{Scheme::USystolicTemporal, 8, 0},
+                      KernelConfig{Scheme::UgemmHybrid, 7, 0},
+                      KernelConfig{Scheme::TubGemm, 8, 0},
+                      KernelConfig{Scheme::TuGemm, 4, 0}));
+
+/** Packed and scalar runFold on one tile: outputs, cycles, census. */
+void
+expectFoldMatchesScalar(const ArrayConfig &cfg, const Matrix<i32> &input,
+                        const Matrix<i32> &weights)
+{
+    FoldStatsDelta sd, pd;
+    const auto scalar = SystolicArray(cfg).runFold(input, weights, &sd);
+    const auto packed = PackedArray(cfg).runFold(input, weights, &pd);
+    const std::string name = cfg.kernel.name();
+    EXPECT_EQ(packed.output, scalar.output) << name;
+    EXPECT_EQ(packed.cycles, scalar.cycles) << name;
+    EXPECT_EQ(pd.faults_weight_reg, sd.faults_weight_reg) << name;
+    EXPECT_EQ(pd.faults_activation, sd.faults_activation) << name;
+    EXPECT_EQ(pd.faults_weight_stream, sd.faults_weight_stream) << name;
+    EXPECT_EQ(pd.faults_accumulator, sd.faults_accumulator) << name;
+    EXPECT_EQ(pd.sparsity_zero_acts, sd.sparsity_zero_acts) << name;
+    EXPECT_EQ(pd.sparsity_skippable_macs, sd.sparsity_skippable_macs)
+        << name;
+    EXPECT_GT(sd.faultTotal(), 0u) << name << ": plan injected nothing";
+}
+
+TEST(PackedArray, CodeFaultsKeepTableFoldExact)
+{
+    // Weight-register faults pre-corrupt the staged codes, so the fold
+    // stays on the table row kernel; it must still match the scalar
+    // referee, census included, on zero-heavy tiles.
     for (const KernelConfig kern :
          {KernelConfig{Scheme::USystolicRate, 8, 6},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
           KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::BinarySerial, 8, 0},
+          KernelConfig{Scheme::TubGemm, 8, 0},
           KernelConfig{Scheme::BinaryParallel, 8, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 2000);
-        const auto a = randomMatrix(6, 10, kern.bits, prng);
-        const auto b = randomMatrix(10, 18, kern.bits, prng);
-
-        setPanelGemmEnabled(false);
-        statsRegistry().reset();
-        const auto unblocked = SystolicGemm(cfg).run(a, b);
-        const std::string unblocked_dump = statsRegistry().dumpText();
-
-        setPanelGemmEnabled(true);
-        for (unsigned nthreads : {1u, 3u}) {
-            ex.setThreads(nthreads);
-            statsRegistry().reset();
-            const auto blocked = SystolicGemm(cfg).run(a, b);
-            const std::string blocked_dump = statsRegistry().dumpText();
-            EXPECT_EQ(blocked.acc, unblocked.acc)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(blocked.cycles, unblocked.cycles)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(blocked_dump, unblocked_dump)
-                << kern.name() << " t" << nthreads;
-        }
-    }
-    ex.setThreads(saved_threads);
-}
-
-TEST(SystolicGemm, ZeroSkipOnOffIdenticalWithZeroHeavyOperands)
-{
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    setPanelGemmEnabled(true);
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::USystolicRate, 8, 0},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::BinaryParallel, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 3000);
-        auto a = randomMatrix(6, 10, kern.bits, prng);
-        auto b = randomMatrix(10, 9, kern.bits, prng);
-        // Zero half of each operand so the skip path actually fires.
-        for (int r = 0; r < a.rows(); ++r)
-            for (int c = 0; c < a.cols(); c += 2)
-                a(r, c) = 0;
-        for (int r = 0; r < b.rows(); r += 2)
-            for (int c = 0; c < b.cols(); ++c)
-                b(r, c) = 0;
-
-        setZeroSkipEnabled(false);
-        statsRegistry().reset();
-        const auto full = SystolicGemm(cfg).run(a, b);
-        const std::string full_dump = statsRegistry().dumpText();
-
-        setZeroSkipEnabled(true);
-        statsRegistry().reset();
-        const auto skipped = SystolicGemm(cfg).run(a, b);
-        const std::string skipped_dump = statsRegistry().dumpText();
-
-        EXPECT_EQ(skipped.acc, full.acc) << kern.name();
-        EXPECT_EQ(skipped.cycles, full.cycles) << kern.name();
-        EXPECT_EQ(skipped_dump, full_dump) << kern.name();
-    }
-}
-
-TEST(SystolicGemm, SparseVsDenseBitExactAllSchemesAcrossThreads)
-{
-    // The sparsity subsystem (DESIGN.md §16) is a pure perf lever:
-    // with zero-heavy operands every scheme must produce identical
-    // outputs, cycle counts, and stats dumps — census counters
-    // included — whether the plans are built or not, at any thread
-    // count. The census is recorded unconditionally, so the dumps are
-    // comparable across the toggle.
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    setPanelGemmEnabled(true);
-    setZeroSkipEnabled(true);
-    Executor &ex = Executor::global();
-    const unsigned saved_threads = ex.threads();
-
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::BinaryParallel, 8, 0},
-          KernelConfig{Scheme::BinarySerial, 8, 0},
-          KernelConfig{Scheme::USystolicRate, 8, 6},
-          KernelConfig{Scheme::USystolicTemporal, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::TubGemm, 8, 0},
-          KernelConfig{Scheme::TuGemm, 4, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 5000);
-        auto a = randomMatrix(6, 10, kern.bits, prng);
-        auto b = randomMatrix(10, 9, kern.bits, prng);
-        // ~60% activation zeros plus a few weight zeros: both census
-        // sides and the plan compaction fire.
-        for (int r = 0; r < a.rows(); ++r)
-            for (int c = 0; c < a.cols(); ++c)
-                if (prng.below(100) < 60)
-                    a(r, c) = 0;
-        for (int c = 0; c < b.cols(); c += 3)
-            b(1, c) = 0;
-
-        setSparseEnabled(false);
-        statsRegistry().reset();
-        const auto dense = SystolicGemm(cfg).run(a, b);
-        const std::string dense_dump = statsRegistry().dumpText();
-
-        setSparseEnabled(true);
-        for (unsigned nthreads : {1u, 3u}) {
-            ex.setThreads(nthreads);
-            statsRegistry().reset();
-            const auto sparse = SystolicGemm(cfg).run(a, b);
-            const std::string sparse_dump = statsRegistry().dumpText();
-            EXPECT_EQ(sparse.acc, dense.acc)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(sparse.cycles, dense.cycles)
-                << kern.name() << " t" << nthreads;
-            EXPECT_EQ(sparse_dump, dense_dump)
-                << kern.name() << " t" << nthreads;
-        }
-    }
-    ex.setThreads(saved_threads);
-}
-
-TEST(SystolicGemm, SparseAndZeroSkipOptOutsAllAgree)
-{
-    // All four {sparse, zero-skip} combinations — the --no-sparse /
-    // --no-zero-skip CLI opt-outs — must agree bit for bit, including
-    // the stats dumps, on every scheme.
-    PanelFlagsGuard guard;
-    setPackedEngineEnabled(true);
-    setPanelGemmEnabled(true);
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    for (const KernelConfig kern :
-         {KernelConfig{Scheme::USystolicRate, 8, 0},
-          KernelConfig{Scheme::UgemmHybrid, 7, 0},
-          KernelConfig{Scheme::TubGemm, 8, 0},
-          KernelConfig{Scheme::TuGemm, 4, 0}}) {
-        cfg.kernel = kern;
-        Prng prng(u64(int(kern.scheme)) + 6000);
-        auto a = randomMatrix(5, 12, kern.bits, prng);
-        auto b = randomMatrix(12, 9, kern.bits, prng);
-        for (int r = 0; r < a.rows(); ++r)
-            for (int c = 0; c < a.cols(); c += 2)
-                a(r, c) = 0;
-
-        std::string ref_dump;
-        SystolicGemm::RunResult ref{};
-        bool have_ref = false;
-        for (const bool sparse : {false, true}) {
-            for (const bool zskip : {false, true}) {
-                setSparseEnabled(sparse);
-                setZeroSkipEnabled(zskip);
-                statsRegistry().reset();
-                const auto out = SystolicGemm(cfg).run(a, b);
-                const std::string dump = statsRegistry().dumpText();
-                if (!have_ref) {
-                    ref = out;
-                    ref_dump = dump;
-                    have_ref = true;
-                    continue;
-                }
-                EXPECT_EQ(out.acc, ref.acc)
-                    << kern.name() << " sparse=" << sparse
-                    << " zskip=" << zskip;
-                EXPECT_EQ(out.cycles, ref.cycles)
-                    << kern.name() << " sparse=" << sparse
-                    << " zskip=" << zskip;
-                EXPECT_EQ(dump, ref_dump)
-                    << kern.name() << " sparse=" << sparse
-                    << " zskip=" << zskip;
-            }
-        }
-    }
-}
-
-TEST(PackedArray, SparsePlansPreserveFaultCensus)
-{
-    // Same contract as PanelAndZeroSkipPreserveFaultCensus, but across
-    // the sparsity toggle: plan-compacted folds must report the exact
-    // same fault census as dense folds for the schemes that consume
-    // plans and for UG (which must never consume them — its bipolar
-    // encoding gives zero-valued operands half-density streams).
-    PanelFlagsGuard guard;
-    setPanelGemmEnabled(true);
-    setZeroSkipEnabled(true);
-    for (const Scheme scheme :
-         {Scheme::USystolicRate, Scheme::UgemmHybrid, Scheme::TubGemm}) {
         ArrayConfig cfg;
         cfg.rows = 4;
         cfg.cols = 4;
-        cfg.kernel = {scheme, scheme == Scheme::UgemmHybrid ? 7 : 8, 0};
+        cfg.kernel = kern;
         cfg.faults.seed = 77;
         cfg.faults.rates.weight_reg = 0.3;
-        cfg.faults.rates.dram_word = 0.2;
-        Prng prng(u64(int(scheme)) + 7000);
-        auto input = randomMatrix(6, cfg.rows, cfg.kernel.bits, prng);
-        auto weights =
-            randomMatrix(cfg.rows, cfg.cols, cfg.kernel.bits, prng);
+        Prng prng(u64(int(kern.scheme)) + 7000);
+        auto input = randomMatrix(6, cfg.rows, kern.bits, prng);
+        auto weights = randomMatrix(cfg.rows, cfg.cols, kern.bits, prng);
         for (int r = 0; r < input.rows(); ++r)
             input(r, r % cfg.rows) = 0;
-
-        SystolicArray::FoldResult ref;
-        FoldStatsDelta ref_delta;
-        bool have_ref = false;
-        for (const bool sparse : {false, true}) {
-            setSparseEnabled(sparse);
-            FoldStatsDelta delta;
-            const auto out =
-                PackedArray(cfg).runFold(input, weights, &delta);
-            ASSERT_GT(delta.faultTotal(), 0u);
-            if (!have_ref) {
-                ref = out;
-                ref_delta = delta;
-                have_ref = true;
-                continue;
-            }
-            EXPECT_EQ(out.output, ref.output) << schemeTag(scheme);
-            EXPECT_EQ(out.cycles, ref.cycles) << schemeTag(scheme);
-            EXPECT_EQ(delta.faults_weight_reg,
-                      ref_delta.faults_weight_reg) << schemeTag(scheme);
-            EXPECT_EQ(delta.faults_dram, ref_delta.faults_dram)
-                << schemeTag(scheme);
-            EXPECT_EQ(delta.faultTotal(), ref_delta.faultTotal())
-                << schemeTag(scheme);
-        }
+        weights(1, 2) = 0;
+        expectFoldMatchesScalar(cfg, input, weights);
     }
 }
 
-TEST(PackedArray, PanelAndZeroSkipPreserveFaultCensus)
+TEST(PackedArray, StagedSchemesMatchScalarUnderActivationFaults)
 {
-    // Weight-register and DRAM faults pre-corrupt the staged codes, so
-    // the panel fast path stays eligible; the census and outputs must
-    // not depend on panel blocking or zero-stream skipping.
-    PanelFlagsGuard guard;
-    ArrayConfig cfg;
-    cfg.rows = 4;
-    cfg.cols = 4;
-    cfg.kernel = {Scheme::USystolicRate, 8, 6};
-    cfg.faults.seed = 99;
-    cfg.faults.rates.weight_reg = 0.3;
-    cfg.faults.rates.dram_word = 0.2;
-    Prng prng(4000);
-    auto input = randomMatrix(5, cfg.rows, 8, prng);
-    auto weights = randomMatrix(cfg.rows, cfg.cols, 8, prng);
-    input(0, 1) = 0;
-    weights(1, 2) = 0;
-
-    struct Variant
-    {
-        bool panel;
-        bool zskip;
-    };
-    SystolicArray::FoldResult ref;
-    FoldStatsDelta ref_delta;
-    bool have_ref = false;
-    for (const Variant v : {Variant{false, false}, Variant{false, true},
-                            Variant{true, false}, Variant{true, true}}) {
-        setPanelGemmEnabled(v.panel);
-        setZeroSkipEnabled(v.zskip);
-        FoldStatsDelta delta;
-        const auto out = PackedArray(cfg).runFold(input, weights, &delta);
-        ASSERT_GT(delta.faultTotal(), 0u);
-        if (!have_ref) {
-            ref = out;
-            ref_delta = delta;
-            have_ref = true;
-            continue;
+    // Activation-stream faults land on the staged values of the exact
+    // schemes (corrupted codes for BP/BS, corrupted ones-counts for
+    // tubGEMM/tuGEMM), which then run the table row kernel: no per-MAC
+    // loop is involved, and the scalar referee must still agree.
+    for (const FaultKind kind : {FaultKind::BitFlip, FaultKind::StuckAt1,
+                                 FaultKind::Burst}) {
+        for (const KernelConfig kern :
+             {KernelConfig{Scheme::TubGemm, 6, 0},
+              KernelConfig{Scheme::TuGemm, 4, 0},
+              KernelConfig{Scheme::BinaryParallel, 8, 0},
+              KernelConfig{Scheme::BinarySerial, 8, 0}}) {
+            ArrayConfig cfg;
+            cfg.rows = 4;
+            cfg.cols = 5;
+            cfg.kernel = kern;
+            cfg.faults.seed = 0x5EEDull + u64(int(kind));
+            cfg.faults.kind = kind;
+            cfg.faults.rates.activation_stream = 0.4;
+            Prng prng(u64(int(kern.scheme)) * 3 + u64(int(kind)) + 9000);
+            auto input = randomMatrix(6, cfg.rows, kern.bits, prng);
+            const auto weights =
+                randomMatrix(cfg.rows, cfg.cols, kern.bits, prng);
+            input(0, 0) = 0; // a zero stream a fault can turn nonzero
+            expectFoldMatchesScalar(cfg, input, weights);
         }
-        EXPECT_EQ(out.output, ref.output) << v.panel << v.zskip;
-        EXPECT_EQ(out.cycles, ref.cycles) << v.panel << v.zskip;
-        EXPECT_EQ(delta.faults_weight_reg, ref_delta.faults_weight_reg);
-        EXPECT_EQ(delta.faults_dram, ref_delta.faults_dram);
-        EXPECT_EQ(delta.faultTotal(), ref_delta.faultTotal());
     }
 }
 

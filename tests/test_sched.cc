@@ -7,6 +7,8 @@
  * exactly the simulator's contention-free cycle count.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
@@ -197,6 +199,50 @@ TEST(Simulator, OutputBytesReflectReducedResolution)
     SystemConfig b16 = edgeSystem({Scheme::BinaryParallel, 16, 0}, true);
     EXPECT_EQ(b16.elemBytes(), 2);
     EXPECT_EQ(b16.outBytes(), 4);
+}
+
+TEST(Simulator, SparsityDeratesInputBytesOfZeroSkippingSchemesOnly)
+{
+    // The activation-sparsity derating is a property of the scheme: the
+    // zero-stream-skipping unary schemes (UR/UT/TUB/TU) neither stream
+    // nor fetch zero activations, while BP/BS move every byte and
+    // uGEMM-H's bipolar bias makes zero operands cost full streams.
+    auto dense = GemmLayer::conv("c", 15, 15, 256, 3, 3, 1, 384);
+    auto sparse = dense;
+    sparse.act_sparsity = 0.5;
+    for (const Scheme sch :
+         {Scheme::BinaryParallel, Scheme::BinarySerial,
+          Scheme::USystolicRate, Scheme::USystolicTemporal,
+          Scheme::UgemmHybrid, Scheme::TubGemm, Scheme::TuGemm}) {
+        const bool skips = sch == Scheme::USystolicRate ||
+                           sch == Scheme::USystolicTemporal ||
+                           sch == Scheme::TubGemm || sch == Scheme::TuGemm;
+        for (const bool sram : {true, false}) {
+            const SystemConfig sys = edgeSystem({sch, 8, 0}, sram);
+            const LayerStats d = computeLayerStats(sys, dense);
+            const LayerStats s = computeLayerStats(sys, sparse);
+            const std::string tag =
+                std::string(schemeTag(sch)) + (sram ? " sram" : "");
+            EXPECT_EQ(s.sparsity_frac, skips ? 0.5 : 0.0) << tag;
+            EXPECT_EQ(s.array_bytes[VarWeight], d.array_bytes[VarWeight])
+                << tag;
+            EXPECT_EQ(s.dram_bytes[VarWeight], d.dram_bytes[VarWeight])
+                << tag;
+            if (skips) {
+                EXPECT_EQ(s.array_bytes[VarIfm],
+                          u64(std::llround(double(d.array_bytes[VarIfm]) *
+                                           0.5)))
+                    << tag;
+                EXPECT_LT(s.dram_bytes[VarIfm], d.dram_bytes[VarIfm])
+                    << tag;
+            } else {
+                EXPECT_EQ(s.array_bytes[VarIfm], d.array_bytes[VarIfm])
+                    << tag;
+                EXPECT_EQ(s.dram_bytes[VarIfm], d.dram_bytes[VarIfm])
+                    << tag;
+            }
+        }
+    }
 }
 
 TEST(Simulator, SixteenBitDoublesSram)

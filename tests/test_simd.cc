@@ -31,7 +31,7 @@ namespace usys {
 namespace {
 
 /**
- * Tables to cross-check: always generic, plus AVX2 / AVX-512 / NEON
+ * Tables to cross-check: always generic, plus AVX2 / AVX-512
  * when available on the host — so every higher tier is fuzzed against
  * the reference regardless of which tier USYS_SIMD dispatched.
  */
@@ -43,8 +43,6 @@ tablesUnderTest()
         tables.push_back(avx2);
     if (const SimdKernels *avx512 = avx512Kernels())
         tables.push_back(avx512);
-    if (const SimdKernels *neon = neonKernels())
-        tables.push_back(neon);
     return tables;
 }
 
@@ -56,9 +54,6 @@ TEST(SimdDispatch, TablesConsistent)
     }
     if (cpuSupportsAvx512() && avx512Kernels() != nullptr) {
         EXPECT_EQ(avx512Kernels()->level, SimdLevel::Avx512);
-    }
-    if (neonKernels() != nullptr) {
-        EXPECT_EQ(neonKernels()->level, SimdLevel::Neon);
     }
     // The active table is one of the known tiers, and every slot is
     // populated.
@@ -83,17 +78,11 @@ TEST(SimdDispatch, SetSimdModeSwitchesAndRestores)
         setSimdMode("avx512");
         EXPECT_EQ(simdLevel(), SimdLevel::Avx512);
     }
-    if (neonKernels()) {
-        setSimdMode("neon");
-        EXPECT_EQ(simdLevel(), SimdLevel::Neon);
-    }
     setSimdMode("auto");
     if (avx512Kernels())
         EXPECT_EQ(simdLevel(), SimdLevel::Avx512);
     else if (avx2Kernels())
         EXPECT_EQ(simdLevel(), SimdLevel::Avx2);
-    else if (neonKernels())
-        EXPECT_EQ(simdLevel(), SimdLevel::Neon);
     else
         EXPECT_EQ(simdLevel(), SimdLevel::Generic);
     // Put the env-resolved level back so later tests see the mode the

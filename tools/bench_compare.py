@@ -20,8 +20,7 @@ the overload phase sheds as much as the retry storm asks it to, so
 the rate measures scheduling luck, not daemon quality — and
 `*.sparsity_frac`, which echoes the workload's configured activation
 sparsity rather than measuring performance. The `sparsity.*.speedup_x`
-ratios gate like any other speedup; callers typically skip the s0
-point (dense input, ~1.0x by construction, pure A/A noise).
+ratios (t(s0)/t(sN) on one fold) gate like any other speedup.
 
 Options:
   --threshold F        default relative-change gate (0.25)

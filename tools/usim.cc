@@ -47,19 +47,13 @@ usage()
         "  --sram | --no-sram        force SRAM presence\n"
         "  --trace                   use the trace-driven memory model\n"
         "  --no-packed               force the scalar simulation engine\n"
-        "  --no-panel                disable cache-blocked panel GEMM\n"
-        "  --panel-kb N              panel arena budget in KiB (default:\n"
-        "                            USYS_L2_KB, else detected L2)\n"
-        "  --no-zero-skip            disable the zero-stream fast path\n"
-        "  --no-sparse               disable sparsity exploitation "
-        "(census stays)\n"
         "  --sparsity F|measured     activation sparsity: F in [0,1] for\n"
         "                            every layer, or 'measured' to use the\n"
         "                            AlexLite-measured per-layer fractions\n"
         "                            (alexnet spec only)\n"
         "  --threads N               executor thread count (0 = auto:\n"
         "                            USYS_THREADS, else all cores)\n"
-        "  --simd auto|avx512|avx2|neon|generic\n"
+        "  --simd auto|avx512|avx2|generic\n"
         "                            SIMD kernel tier (overrides "
         "USYS_SIMD)\n"
         "  --csv                     machine-readable output\n"
@@ -132,15 +126,6 @@ main(int argc, char **argv)
             trace = true;
         else if (arg == "--no-packed")
             setPackedEngineEnabled(false);
-        else if (arg == "--no-panel")
-            setPanelGemmEnabled(false);
-        else if (arg == "--panel-kb")
-            setPanelBudgetKb(u32(
-                parseIntFlag("--panel-kb", next().c_str(), 16, 1048576)));
-        else if (arg == "--no-zero-skip")
-            setZeroSkipEnabled(false);
-        else if (arg == "--no-sparse")
-            setSparseEnabled(false);
         else if (arg == "--sparsity") {
             const std::string v = next();
             if (v == "measured") {
