@@ -145,9 +145,9 @@ runSweep(const std::vector<Job> &jobs, const std::vector<u64> &pending,
 
 /**
  * Checkpoint payload of one job outcome: the checksum, the counter
- * fields of the stats delta, and the histogram samples as exact double
- * bit patterns — everything flush() touches, so a restored job commits
- * byte-identical stats.
+ * fields of the stats delta, and the fold-size histogram runs as
+ * (m_rows, count) pairs — everything flush() touches, so a restored job
+ * commits byte-identical stats.
  */
 std::string
 serializeOutcome(const JobOutcome &out)
@@ -160,15 +160,24 @@ serializeOutcome(const JobOutcome &out)
           d.faults_weight_reg, d.faults_activation, d.faults_weight_stream,
           d.faults_accumulator, d.faults_dram, d.sparsity_zero_acts,
           d.sparsity_zero_weights, d.sparsity_skippable_macs,
-          u64(d.m_rows_samples.size())}) {
+          u64(d.m_rows_runs.size())}) {
         p += ' ';
         p += CK::packU64(v);
     }
-    for (const double v : d.m_rows_samples) {
+    for (const FoldStatsDelta::RowsRun &run : d.m_rows_runs) {
         p += ' ';
-        p += CK::packDouble(v);
+        p += CK::packU64(u64(run.m_rows));
+        p += ' ';
+        p += CK::packU64(run.count);
     }
     return p;
+}
+
+/** Checkpoint key of job j under the current payload layout. */
+std::string
+jobKey(std::size_t j)
+{
+    return "job" + std::to_string(j) + ".r";
 }
 
 JobOutcome
@@ -203,13 +212,15 @@ deserializeOutcome(const std::string &payload)
     d.sparsity_zero_acts = CK::unpackU64(fields[10]);
     d.sparsity_zero_weights = CK::unpackU64(fields[11]);
     d.sparsity_skippable_macs = CK::unpackU64(fields[12]);
-    const u64 n_samples = CK::unpackU64(fields[13]);
-    fatalIf(fields.size() != 14 + n_samples,
-            "e2e checkpoint payload: sample count mismatch");
-    d.m_rows_samples.reserve(n_samples);
-    for (u64 i = 0; i < n_samples; ++i)
-        d.m_rows_samples.push_back(
-            CK::unpackDouble(fields[14 + std::size_t(i)]));
+    const u64 n_runs = CK::unpackU64(fields[13]);
+    fatalIf(n_runs > (fields.size() - 14) / 2 ||
+                fields.size() != 14 + 2 * n_runs,
+            "e2e checkpoint payload: fold-size run count mismatch");
+    d.m_rows_runs.resize(std::size_t(n_runs));
+    for (std::size_t i = 0; i < d.m_rows_runs.size(); ++i) {
+        d.m_rows_runs[i].m_rows = int(CK::unpackU64(fields[14 + 2 * i]));
+        d.m_rows_runs[i].count = CK::unpackU64(fields[15 + 2 * i]);
+    }
     return out;
 }
 
@@ -301,10 +312,10 @@ main(int argc, char **argv)
         ckpt.load();
     std::vector<u64> pending;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        // ".s" marks the sparsity-census payload layout: entries from
-        // pre-census binaries miss and recompute instead of crashing
-        // the field-count check.
-        const std::string key = "job" + std::to_string(j) + ".s";
+        // The suffix names the payload layout (".r": sparsity census
+        // plus run-length fold sizes): entries of an older layout miss
+        // and recompute instead of failing the field-count check.
+        const std::string key = jobKey(j);
         if (resume && ckpt.has(key))
             serial_out[j] = deserializeOutcome(ckpt.find(key));
         else
@@ -321,8 +332,7 @@ main(int argc, char **argv)
     i64 computed = 0;
     for (const u64 j : pending) {
         runJob(jobs[j], serial_out[j]);
-        ckpt.record("job" + std::to_string(j) + ".s",
-                    serializeOutcome(serial_out[j]));
+        ckpt.record(jobKey(j), serializeOutcome(serial_out[j]));
         ++computed;
         progress.update(u64(computed));
         if (die_after > 0 && computed >= die_after) {

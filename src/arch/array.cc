@@ -14,15 +14,30 @@
 
 namespace usys {
 
+namespace {
+
+/** Append a run to `runs`, extending the last one when M matches. */
+void
+appendRun(std::vector<FoldStatsDelta::RowsRun> &runs,
+          const FoldStatsDelta::RowsRun &run)
+{
+    if (!runs.empty() && runs.back().m_rows == run.m_rows)
+        runs.back().count += run.count;
+    else
+        runs.push_back(run);
+}
+
+} // namespace
+
 void
 FoldStatsDelta::add(int m_rows, int rows, int cols, Cycles cycles,
-                    u32 trace_len)
+                    u32 trace_len, u64 count)
 {
-    ++folds;
-    mac_slots += u64(m_rows) * rows * cols;
-    fold_cycles += cycles;
-    bitstream_cycles += u64(trace_len) * u64(m_rows) * rows;
-    m_rows_samples.push_back(double(m_rows));
+    folds += count;
+    mac_slots += count * u64(m_rows) * rows * cols;
+    fold_cycles += count * cycles;
+    bitstream_cycles += count * u64(trace_len) * u64(m_rows) * rows;
+    appendRun(m_rows_runs, RowsRun{m_rows, count});
 }
 
 void
@@ -49,9 +64,8 @@ FoldStatsDelta::merge(const FoldStatsDelta &other)
     mac_slots += other.mac_slots;
     fold_cycles += other.fold_cycles;
     bitstream_cycles += other.bitstream_cycles;
-    m_rows_samples.insert(m_rows_samples.end(),
-                          other.m_rows_samples.begin(),
-                          other.m_rows_samples.end());
+    for (const RowsRun &run : other.m_rows_runs)
+        appendRun(m_rows_runs, run);
     faults_weight_reg += other.faults_weight_reg;
     faults_activation += other.faults_activation;
     faults_weight_stream += other.faults_weight_stream;
@@ -77,8 +91,10 @@ FoldStatsDelta::flush(const KernelConfig &kern) const
                 "lane bitstream cycles generated") += bitstream_cycles;
     auto &hist = reg.histogram("arch.fold_m_rows", 0.0, 4096.0, 16,
                                "input rows streamed per fold");
-    for (double m : m_rows_samples)
-        hist.add(m);
+    // add(x, count) steps the moments once per fold, so a run commits
+    // exactly what as many single adds would.
+    for (const RowsRun &run : m_rows_runs)
+        hist.add(double(run.m_rows), run.count);
     if (faultTotal()) {
         reg.counter(slug + ".faults_injected",
                     "fault events injected (all sites)") += faultTotal();
@@ -130,7 +146,6 @@ SystolicArray::runFold(const Matrix<i32> &input,
 
     const int m_rows = input.rows();
     const KernelConfig &kern = cfg_.kernel;
-    const u32 mul = kern.mulCycles();
     const u32 mac = kern.macCycles();
 
     // --- Cycle accounting -------------------------------------------------
@@ -148,7 +163,7 @@ SystolicArray::runFold(const Matrix<i32> &input,
     // Each row's front end emits identical lane signals to every column
     // (columns only add delay), so generate the per-(row, input-row)
     // multiplication-cycle traces once.
-    const u32 trace_len = (kern.scheme == Scheme::BinaryParallel) ? 1 : mul;
+    const u32 trace_len = laneTraceLength(kern);
 
     // Per-scheme bit-level work counters (one delta per fold, not per
     // MAC, so the accounting stays off the inner loops). Parallel
@@ -251,6 +266,100 @@ SystolicGemm::SystolicGemm(const ArrayConfig &cfg)
     cfg_.check();
 }
 
+namespace {
+
+// Output columns one fold-free task owns: a few hundred, so a batch-1
+// FC layer still splits into a task per core while every k-step reads
+// a contiguous 1 KB slice of a B row.
+constexpr int kBlockCols = 256;
+// B elements a row-0 task censuses per step, just before the row
+// kernel reads them: small enough to stay in L2, large enough that a
+// gemm.census scope brackets well over 10 us (DESIGN.md §12).
+constexpr int kCensusElems = 32768;
+
+u64
+countZeros(const i32 *p, int n)
+{
+    u64 zeros = 0;
+    for (int i = 0; i < n; ++i)
+        zeros += (p[i] == 0);
+    return zeros;
+}
+
+/** Zero elements of the unpadded operands of a fold-free GEMM. */
+struct OperandZeros
+{
+    u64 a = 0;
+    u64 b = 0;
+};
+
+/**
+ * acc (zeroed, M x N) = a x b in one pass of the row kernel, as tasks
+ * of (row m, column block j), counting the operands' zeros on the way:
+ * each row of A in its block-0 task (a k_dim scan beside the task's
+ * k_dim x 256 MACs, so it stays inside gemm.rows), each column block
+ * of B in its row-0 task, interleaved with the kernel a chunk of rows
+ * at a time. Chunked partial rows sum exactly: integer adds
+ * reassociate, and the early-termination shift distributes over the
+ * row sum.
+ */
+OperandZeros
+foldFreeGemm(const GemmExecutor &kernel, const Matrix<i32> &a,
+             const Matrix<i32> &b, Matrix<i64> &acc)
+{
+    const int k_dim = a.cols();
+    const int n_dim = b.cols();
+    const u64 n_blocks = u64((n_dim + kBlockCols - 1) / kBlockCols);
+    const std::size_t ldb = std::size_t(n_dim);
+    // One slot per writer task, reduced after the join.
+    std::vector<u64> row_zeros(std::size_t(a.rows()), 0);
+    std::vector<u64> block_zeros(n_blocks, 0);
+    auto task = [&](u64 t) {
+        USYS_PROF_SCOPE("gemm.rows");
+        const int m = int(t / n_blocks);
+        const u64 j = t % n_blocks;
+        const int n0 = int(j) * kBlockCols;
+        const int nb = std::min(kBlockCols, n_dim - n0);
+        const i32 *a_row = &a(m, 0);
+        const i32 *b_block = b.data().data() + n0;
+        i64 *out = &acc(m, n0);
+        if (j == 0)
+            row_zeros[std::size_t(m)] = countZeros(a_row, k_dim);
+        if (m != 0) {
+            kernel.runRow(a_row, b_block, ldb, k_dim, nb, out);
+            return;
+        }
+        const int chunk_rows = std::max(1, kCensusElems / nb);
+        i64 part[kBlockCols];
+        u64 zeros = 0;
+        for (int k0 = 0; k0 < k_dim; k0 += chunk_rows) {
+            const int kc = std::min(chunk_rows, k_dim - k0);
+            const i32 *chunk = b_block + std::size_t(k0) * ldb;
+            {
+                USYS_PROF_SCOPE("gemm.census");
+                for (int k = 0; k < kc; ++k)
+                    zeros += countZeros(chunk + std::size_t(k) * ldb, nb);
+            }
+            std::fill(part, part + nb, 0);
+            kernel.runRow(a_row + k0, chunk, ldb, kc, nb, part);
+            for (int n = 0; n < nb; ++n)
+                out[n] += part[n];
+        }
+        block_zeros[j] = zeros;
+    };
+    parallelFor(0, u64(a.rows()) * n_blocks, task,
+                rowGrain(u64(k_dim) * u64(std::min(n_dim, kBlockCols))));
+
+    OperandZeros zeros;
+    for (const u64 z : row_zeros)
+        zeros.a += z;
+    for (const u64 z : block_zeros)
+        zeros.b += z;
+    return zeros;
+}
+
+} // namespace
+
 SystolicGemm::RunResult
 SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
                   FoldStatsDelta *stats) const
@@ -262,19 +371,17 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
     const int n_dim = b.cols();
     const int rows = cfg_.rows;
     const int cols = cfg_.cols;
+    const KernelConfig &kern = cfg_.kernel;
 
     const bool packed = packedEngineEnabled();
     const SystolicArray scalar_array(cfg_);
-    // Built only when used: construction resolves the product tables.
-    std::optional<PackedArray> packed_array;
-    if (packed)
-        packed_array.emplace(cfg_);
 
     const u64 n_tiles = u64((n_dim + cols - 1) / cols);
     const u64 k_tiles = u64((k_dim + rows - 1) / rows);
 
     RunResult result;
     result.acc = Matrix<i64>(m_rows, n_dim, 0);
+    result.folds = n_tiles * k_tiles;
 
     // DramWord site: operand codes corrupt once per GEMM, as they leave
     // memory — before tiling, so every fold (and either engine)
@@ -288,12 +395,58 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         a_faulted = a;
         b_faulted = b;
         dram_events += applyDramFaults(fp, a_faulted, kDramOperandA,
-                                       cfg_.kernel.bits);
+                                       kern.bits);
         dram_events += applyDramFaults(fp, b_faulted, kDramOperandB,
-                                       cfg_.kernel.bits);
+                                       kern.bits);
         pa = &a_faulted;
         pb = &b_faulted;
     }
+
+    // Fold-free pass: when every fold would run the table row kernel
+    // (no per-fold fault site; DRAM faults are applied above), the
+    // whole GEMM is one blocked pass of that kernel over the untiled
+    // operands, and the folds' stats follow in closed form (DESIGN.md
+    // §13). Weight-register faults corrupt per fold coordinate, so they
+    // stay on the fold loop below, as do empty operands (B's census
+    // rides on the tasks of row 0).
+    const FaultRates &fr = fp.rates;
+    const bool per_fold_faults = fr.weight_reg > 0.0 ||
+                                 fr.activation_stream > 0.0 ||
+                                 fr.weight_stream > 0.0 ||
+                                 fr.accumulator > 0.0;
+    if (packed && GemmExecutor::hasTables(kern) && !per_fold_faults &&
+        m_rows > 0 && k_dim > 0 && n_dim > 0) {
+        const OperandZeros zeros =
+            foldFreeGemm(GemmExecutor(kern), *pa, *pb, result.acc);
+        const Cycles latency = scalar_array.foldLatency(m_rows);
+        result.cycles = result.folds * latency;
+
+        FoldStatsDelta delta;
+        delta.add(m_rows, rows, cols, latency, laneTraceLength(kern),
+                  result.folds);
+        delta.faults_dram = dram_events;
+        // Every fold stages one zero-padded K-tile of A and one
+        // zero-padded weight tile: A's tiles are each streamed once per
+        // column tile, the weight tiles partition the padded B.
+        const u64 k_pad = k_tiles * u64(rows);
+        delta.sparsity_zero_acts =
+            n_tiles * (zeros.a + u64(m_rows) * (k_pad - u64(k_dim)));
+        delta.sparsity_zero_weights =
+            zeros.b + k_pad * n_tiles * u64(cols) - u64(k_dim) * u64(n_dim);
+        if (kern.scheme != Scheme::UgemmHybrid)
+            delta.sparsity_skippable_macs =
+                delta.sparsity_zero_acts * u64(cols);
+        if (stats)
+            stats->merge(delta);
+        else
+            delta.flush(kern);
+        return result;
+    }
+
+    // Built only when used: construction resolves the product tables.
+    std::optional<PackedArray> packed_array;
+    if (packed)
+        packed_array.emplace(cfg_);
 
     // Stage every K-tile of A once, up front, shared read-only across
     // the column-tile shards — instead of every shard re-staging the
@@ -359,9 +512,8 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         if (stats)
             stats->merge(deltas[ti]);
         else
-            deltas[ti].flush(cfg_.kernel);
+            deltas[ti].flush(kern);
     }
-    result.folds = n_tiles * k_tiles;
     return result;
 }
 

@@ -53,6 +53,14 @@ struct ArrayConfig
     }
 };
 
+/** Lane-signal steps a fold generates per (array row, input row): one
+ *  code word for bit-parallel, the multiplication window otherwise. */
+inline u32
+laneTraceLength(const KernelConfig &kern)
+{
+    return kern.scheme == Scheme::BinaryParallel ? 1 : kern.mulCycles();
+}
+
 /**
  * Locally accumulated stats-registry deltas of runFold() calls.
  *
@@ -67,7 +75,16 @@ struct FoldStatsDelta
     u64 mac_slots = 0;
     u64 fold_cycles = 0;
     u64 bitstream_cycles = 0;
-    std::vector<double> m_rows_samples; // arch.fold_m_rows histogram adds
+
+    /** `count` consecutive folds that each streamed `m_rows` inputs. */
+    struct RowsRun
+    {
+        int m_rows = 0;
+        u64 count = 0;
+    };
+    // arch.fold_m_rows histogram adds, run-length encoded in fold order
+    // (a GEMM's folds all share one M, so a call is usually one run).
+    std::vector<RowsRun> m_rows_runs;
 
     // Fault events injected, per site (all zero on fault-free runs;
     // flush() emits the arch.<kern>.faults_* counters only when any
@@ -86,8 +103,9 @@ struct FoldStatsDelta
     u64 sparsity_zero_weights = 0;
     u64 sparsity_skippable_macs = 0;
 
-    /** Record one fold's contribution. */
-    void add(int m_rows, int rows, int cols, Cycles cycles, u32 trace_len);
+    /** Record `count` folds of `m_rows` inputs, each taking `cycles`. */
+    void add(int m_rows, int rows, int cols, Cycles cycles, u32 trace_len,
+             u64 count = 1);
 
     /** Record one fold's analytic fault census. */
     void addFaults(const FoldFaultCounts &counts);
@@ -176,11 +194,17 @@ class SystolicGemm
      * Compute C = A (M x K) x B (K x N), tiling K over array rows and N
      * over array columns, accumulating partial sums across K folds.
      *
-     * With the packed engine enabled (see packedEngineEnabled()) the
-     * folds run on PackedArray and the column-tile shards — which own
-     * disjoint output columns — run under parallelFor; stats deltas are
-     * flushed serially in tile order, so results, cycle counts, and
-     * stats dumps are identical to the scalar serial path.
+     * With the packed engine enabled (see packedEngineEnabled()) and no
+     * per-fold fault site (weight register, activation stream, weight
+     * stream, accumulator) in the plan, the GEMM is one fold-free pass
+     * of GemmExecutor's row kernel over the untiled operands, as
+     * parallel (row, column block) tasks, and the folds' cycles and
+     * stats — census included — are booked in closed form (DESIGN.md
+     * §13). Otherwise the folds run one by one, on PackedArray with the
+     * column-tile shards under parallelFor, or on the scalar
+     * SystolicArray serially; per-shard stats deltas are flushed in
+     * tile order. Either way results, cycle counts and stats dumps are
+     * identical to the scalar serial path.
      *
      * @param stats if non-null, merge this GEMM's registry deltas there
      *        (in tile order) instead of flushing them to the global

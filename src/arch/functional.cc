@@ -153,18 +153,18 @@ GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b) const
     Matrix<i64> out(a.rows(), b.cols(), 0);
     parallelFor(
         0, u64(a.rows()),
-        [&](u64 m) { runRow(&a(int(m), 0), b, &out(int(m), 0)); },
+        [&](u64 m) {
+            runRow(&a(int(m), 0), b.data().data(), std::size_t(b.cols()),
+                   b.rows(), b.cols(), &out(int(m), 0));
+        },
         rowGrain(u64(a.cols()) * u64(b.cols())));
     return out;
 }
 
 void
-GemmExecutor::runRow(const i32 *a_row, const Matrix<i32> &b,
-                     i64 *acc) const
+GemmExecutor::runRow(const i32 *a_row, const i32 *b, std::size_t ldb,
+                     int k_dim, int n_dim, i64 *acc) const
 {
-    const int k_dim = b.rows();
-    const int n_dim = b.cols();
-
     if (!hasWeightBsg(cfg_.scheme)) {
         // Exact-product schemes (binary, tubGEMM, tuGEMM): a plain
         // integer GEMM row on the dispatched SIMD kernel. A zero input
@@ -172,7 +172,8 @@ GemmExecutor::runRow(const i32 *a_row, const Matrix<i32> &b,
         const SimdKernels &simd = simdKernels();
         for (int k = 0; k < k_dim; ++k)
             if (a_row[k] != 0)
-                simd.gemmRowI32(acc, &b(k, 0), a_row[k], n_dim);
+                simd.gemmRowI32(acc, b + std::size_t(k) * ldb, a_row[k],
+                                n_dim);
         return;
     }
 
@@ -195,7 +196,7 @@ GemmExecutor::runRow(const i32 *a_row, const Matrix<i32> &b,
             // them directly.
             const u16 *one = bipolar_->oneRow(x_off) + half;
             const u16 *zero = bipolar_->zeroRow(x_off) + half;
-            const i32 *w = &b(k, 0);
+            const i32 *w = b + std::size_t(k) * ldb;
             row_const += i64(bipolar_->period() - x_off) - half;
             for (int n = 0; n < n_dim; ++n)
                 acc[n] += i32(one[w[n]]) - i32(zero[w[n]]);
@@ -223,7 +224,7 @@ GemmExecutor::runRow(const i32 *a_row, const Matrix<i32> &b,
         if (ones == 0)
             continue;
         const u16 *row = unary_->weightRow(ones);
-        const i32 *w = &b(k, 0);
+        const i32 *w = b + std::size_t(k) * ldb;
         const i32 flip = -i32(sa.negative);
         for (int n = 0; n < n_dim; ++n) {
             const i32 neg = w[n] >> 31;

@@ -6,8 +6,8 @@
  * SystolicArray (tests assert exact agreement) from the precomputed
  * unary product tables, making full DNN inference through the unary
  * datapath tractable. Its serial row kernel, runRow(), is also the
- * packed array's fault-free fold (DESIGN.md §13). Each (row, k) step fetches the one table row its
- * input selects and indexes it across B's row k (weights decode to
+ * packed engine's fault-free GEMM and fold (DESIGN.md §13). Each
+ * (row, k) step fetches the one table row its input selects and indexes it across B's row k (weights decode to
  * sign and magnitude branch-free), so a MAC is one table load and an
  * add into the row's i64 accumulators. uSystolic rate/temporal rows
  * skip every k-step whose input delivers no 1-bits (a == 0, or a rate
@@ -56,12 +56,14 @@ class GemmExecutor
     Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b) const;
 
     /**
-     * Serial row kernel behind run(): acc[n] = sum over k of the
-     * scheme-native product of a_row[k] and b(k, n), for n < b.cols(),
-     * with a_row holding b.rows() codes. acc must hold zeros on entry
-     * (the early-termination shift scales the finished row).
+     * Serial row kernel behind run(): acc[n] = sum over k < k_dim of the
+     * scheme-native product of a_row[k] and b[k * ldb + n], for
+     * n < n_dim. b may be a column block of a wider row-major matrix
+     * (ldb its row stride). acc must hold zeros on entry (the
+     * early-termination shift scales the finished row).
      */
-    void runRow(const i32 *a_row, const Matrix<i32> &b, i64 *acc) const;
+    void runRow(const i32 *a_row, const i32 *b, std::size_t ldb,
+                int k_dim, int n_dim, i64 *acc) const;
 
     /**
      * Same GEMM under a fault plan. The functional model has no cycle

@@ -431,7 +431,6 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
 
     const int m_rows = input.rows();
     const KernelConfig &kern = cfg_.kernel;
-    const u32 mul = kern.mulCycles();
     const u32 mac = kern.macCycles();
 
     // Identical closed-form schedule to SystolicArray: the packed model
@@ -439,11 +438,10 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
     // simulated cycles it takes.
     Cycles cycles = Cycles(rows);
     cycles += (u64(m_rows) + rows - 1) * mac + u64(cols - 1);
-    const u32 trace_len = (kern.scheme == Scheme::BinaryParallel) ? 1 : mul;
 
     FoldStatsDelta local;
     FoldStatsDelta &delta = stats ? *stats : local;
-    delta.add(m_rows, rows, cols, cycles, trace_len);
+    delta.add(m_rows, rows, cols, cycles, laneTraceLength(kern));
     delta.addSparsity(foldSparsityCensus(kern, input, weights));
 
     // Fault plan: the census is analytic (coordinate enumeration), so
@@ -515,7 +513,8 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
         // the stream path below derives, read from the shared tables.
         USYS_PROF_SCOPE("fold.packed.mac");
         for (int m = 0; m < m_rows; ++m)
-            table_->runRow(&(*ip)(m, 0), *wp, &out(m, 0));
+            table_->runRow(&(*ip)(m, 0), wp->data().data(),
+                           std::size_t(cols), rows, cols, &out(m, 0));
     } else if (staged) {
         // Accumulator site: per-MAC signed OREG contribution, pre-merge
         // — same point as PeCore::finishMac.

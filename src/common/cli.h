@@ -123,11 +123,11 @@ class ProgressMeter
 /**
  * Global gate for the fast simulation path, and the only engine
  * option: PackedArray folds plus tile-/layer-parallel scheduling.
- * A fault-free packed fold runs the product-table row kernel
- * (GemmExecutor::runRow, DESIGN.md §17); folds under per-MAC fault
- * sites and unary widths beyond the tables run packed bitstreams
- * (DESIGN.md §13) — chosen from the fault plan and bitwidth, never
- * from a flag. Defaults to on; the scalar reference engine stays
+ * A fault-free packed GEMM is one fold-free pass of the product-table
+ * row kernel (GemmExecutor::runRow, DESIGN.md §13/§17); folds under
+ * per-MAC fault sites and unary widths beyond the tables run packed
+ * bitstreams (DESIGN.md §13) — chosen from the fault plan and
+ * bitwidth, never from a flag. Defaults to on; the scalar reference engine stays
  * available behind --no-packed as the referee. Both engines are
  * bit-exact, produce the same cycle counts, and commit identical
  * stats-registry deltas.

@@ -2,8 +2,7 @@
 #   BENCH     path to the perf_smoke binary
 #   PYTHON    python3 interpreter
 #   TOOLS_DIR repo tools/ directory (schema + checker)
-#   WORK_DIR  scratch directory for the artifact
-#   REPO_ROOT repo source directory (receives the artifact copy)
+#   WORK_DIR  scratch directory for the artifact (build tree)
 #   SANITIZED USYS_SANITIZE value of the tree ("" for a plain build)
 
 set(stats ${WORK_DIR}/BENCH_kernels.json)
@@ -64,18 +63,11 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "BENCH_kernels.json schema validation failed")
 endif()
 
-# Publish the validated artifact at the repo root so the checked-in
-# benchmark record tracks the tested binary — but never from a
-# sanitized tree: instrumented timings (worse, with TSan's exempted
-# AVX-512 kernels, wildly inflated ratios) must not become the
-# committed baseline bench_kernels_regress compares against.
-if(DEFINED REPO_ROOT AND NOT SANITIZED)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E copy_if_different ${stats}
-                ${REPO_ROOT}/BENCH_kernels.json
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "could not copy BENCH_kernels.json to "
-                            "${REPO_ROOT}")
-    endif()
+# Stage the gated, validated artifact for the publish_bench target —
+# inside the build tree: a test run never writes the source tree, so
+# bench_kernels_regress always compares against the committed record.
+# Sanitized trees stage nothing (instrumented timings must not become
+# the committed baseline).
+if(NOT SANITIZED)
+    file(COPY ${stats} DESTINATION ${WORK_DIR}/publish)
 endif()

@@ -2,8 +2,8 @@
 #   BENCH     path to the serve_load binary
 #   PYTHON    python3 interpreter
 #   TOOLS_DIR repo tools/ directory (schema + checker)
-#   WORK_DIR  scratch directory for the artifact
-#   REPO_ROOT repo source directory (receives the artifact copy)
+#   WORK_DIR  scratch directory for the artifact (build tree)
+#   SANITIZED USYS_SANITIZE value of the tree ("" for a plain build)
 
 set(stats ${WORK_DIR}/BENCH_serve.json)
 
@@ -42,16 +42,9 @@ if(NOT rc EQUAL 0)
     message(FATAL_ERROR "BENCH_serve.json schema validation failed")
 endif()
 
-# Publish the validated artifact at the repo root so the checked-in
-# benchmark record tracks the tested binary — release trees only;
-# sanitized timings must not become the committed record.
-if(DEFINED REPO_ROOT AND NOT SANITIZED)
-    execute_process(
-        COMMAND ${CMAKE_COMMAND} -E copy_if_different ${stats}
-                ${REPO_ROOT}/BENCH_serve.json
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "could not copy BENCH_serve.json to "
-                            "${REPO_ROOT}")
-    endif()
+# Stage the gated, validated artifact for the publish_bench target —
+# inside the build tree, never the source tree; sanitized trees stage
+# nothing (their timings must not become the committed record).
+if(NOT SANITIZED)
+    file(COPY ${stats} DESTINATION ${WORK_DIR}/publish)
 endif()

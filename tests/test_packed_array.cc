@@ -304,6 +304,108 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelConfig{Scheme::TubGemm, 8, 0},
                       KernelConfig{Scheme::TuGemm, 4, 0}));
 
+/** Random codes with roughly `zero_frac` of the entries forced to 0. */
+Matrix<i32>
+sparseMatrix(int rows, int cols, int bits, double zero_frac, Prng &prng)
+{
+    Matrix<i32> m = randomMatrix(rows, cols, bits, prng);
+    for (i32 &v : m.data())
+        if (prng.uniform() < zero_frac)
+            v = 0;
+    return m;
+}
+
+TEST(SystolicGemm, FoldFreePassMatchesScalarFoldLoopRandomized)
+{
+    // Seeded differential sweep of the packed GEMM (the fold-free
+    // row-kernel pass whenever no per-fold fault site is active; the
+    // fold loop under weight-register faults) against the --no-packed
+    // scalar fold loop on the 12 x 14 edge array: outputs, cycles,
+    // folds and the whole stats dump, sparsity census and the
+    // arch.fold_m_rows histogram included, at 1 and 3 threads and
+    // through both the flush and the deferred-delta form.
+    PackedFlagGuard guard;
+    ThreadsGuard threads;
+    // Every scheme, UR also early-terminated (tuGEMM at 4 bits: the
+    // scalar referee walks its whole square period per MAC).
+    const KernelConfig kerns[] = {
+        {Scheme::BinaryParallel, 8, 0}, {Scheme::BinarySerial, 8, 0},
+        {Scheme::USystolicRate, 8, 0},  {Scheme::USystolicRate, 8, 6},
+        {Scheme::USystolicTemporal, 8, 0}, {Scheme::UgemmHybrid, 7, 0},
+        {Scheme::TubGemm, 8, 0},        {Scheme::TuGemm, 4, 0}};
+    const double zero_fracs[] = {0.0, 0.6, 1.0};
+    Prng prng(0xF01DF4EEull);
+    for (int trial = 0; trial < 200; ++trial) {
+        ArrayConfig cfg;
+        cfg.rows = 12;
+        cfg.cols = 14;
+        cfg.kernel = kerns[trial % 8];
+        const int bits = cfg.kernel.bits;
+        int m = 1, k = 1, n = 1;
+        switch (prng.below(4)) {
+          case 0: // one partial tile: K < 12, N < 14
+            k = 1 + int(prng.below(11));
+            n = 1 + int(prng.below(13));
+            break;
+          case 1: // N wider than one 256-column block; K up to past
+                  // the 128 B rows a full block censuses per chunk
+            k = 1 + int(prng.below(200));
+            n = 257 + int(prng.below(60));
+            break;
+          case 2: // tall M
+            m = 16 + int(prng.below(24));
+            k = 1 + int(prng.below(26));
+            n = 1 + int(prng.below(30));
+            break;
+          default: // ragged K and N over several tiles
+            m = 1 + int(prng.below(5));
+            k = 1 + int(prng.below(60));
+            n = 1 + int(prng.below(50));
+            break;
+        }
+        const Matrix<i32> a =
+            sparseMatrix(m, k, bits, zero_fracs[prng.below(3)], prng);
+        const Matrix<i32> b =
+            sparseMatrix(k, n, bits, zero_fracs[prng.below(3)], prng);
+        const u64 plan = prng.below(4); // 0-1 none, 2 DRAM, 3 weight reg
+        cfg.faults.seed = 0xD1FFull + u64(trial);
+        if (plan == 2)
+            cfg.faults.rates.dram_word = 0.2;
+        else if (plan == 3)
+            cfg.faults.rates.weight_reg = 0.2;
+        const std::string what = cfg.kernel.name() + " trial " +
+                                 std::to_string(trial) + " " +
+                                 std::to_string(m) + "x" +
+                                 std::to_string(k) + "x" +
+                                 std::to_string(n) + " plan " +
+                                 std::to_string(plan);
+
+        setPackedEngineEnabled(false);
+        statsRegistry().reset();
+        const auto scalar = SystolicGemm(cfg).run(a, b);
+        const std::string scalar_dump = statsRegistry().dumpText();
+
+        setPackedEngineEnabled(true);
+        for (unsigned nthreads : {1u, 3u}) {
+            Executor::global().setThreads(nthreads);
+            statsRegistry().reset();
+            const auto packed = SystolicGemm(cfg).run(a, b);
+            const std::string packed_dump = statsRegistry().dumpText();
+            statsRegistry().reset();
+            FoldStatsDelta delta;
+            SystolicGemm(cfg).run(a, b, &delta);
+            delta.flush(cfg.kernel);
+            const std::string deferred_dump = statsRegistry().dumpText();
+            const std::string at = what + " t" + std::to_string(nthreads);
+            ASSERT_EQ(packed.acc, scalar.acc) << at;
+            ASSERT_EQ(packed.cycles, scalar.cycles) << at;
+            ASSERT_EQ(packed.folds, scalar.folds) << at;
+            ASSERT_EQ(packed_dump, scalar_dump) << at;
+            ASSERT_EQ(deferred_dump, scalar_dump) << at;
+        }
+    }
+}
+
 /** Packed and scalar runFold on one tile: outputs, cycles, census. */
 void
 expectFoldMatchesScalar(const ArrayConfig &cfg, const Matrix<i32> &input,
