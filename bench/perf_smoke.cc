@@ -4,10 +4,13 @@
  * artifact (BENCH_kernels.json by default).
  *
  * Times SystolicArray::runFold (the scalar reference engine) against
- * PackedArray::runFold on one 8-bit 16x16 weight-stationary tile per
- * scheme, asserts the outputs agree, records per-fold latencies and
- * speedups in the stats registry under kernel.<tag>.*, and writes the
- * standard stats artifact (schema: tools/bench_kernels_schema.json).
+ * the packed engine's SystolicGemm::run on a one-fold GEMM — one 8-bit
+ * 16x16 weight-stationary tile per scheme, which production runs as the
+ * fold-free table row-kernel pass — asserts the outputs agree, records
+ * per-fold latencies and speedups in the stats registry under
+ * kernel.<tag>.*, and writes the standard stats artifact (schema:
+ * tools/bench_kernels_schema.json). Every timed kernel runs at one
+ * executor thread, so the numbers price serial work.
  *
  * With --min-speedup X the binary exits nonzero if the full-period UR
  * speedup falls short — the hook the perf ctest uses to enforce the
@@ -23,9 +26,10 @@
  * hosts the ratio is 1 by construction and the gates print a skip
  * note instead of failing.
  *
- * A third section times the fault-free fold (the product-table row
- * kernel, DESIGN.md §17) against the per-MAC packed-stream fold on the
- * same 64x64 8-bit UR tile, records fold.gemm.* stats, and with
+ * A third section times the fault-free one-fold GEMM (the product-table
+ * row kernel, DESIGN.md §17) against PackedArray's per-MAC packed-stream
+ * fold on the same 64x64 8-bit UR tile, records fold.gemm.* stats, and
+ * with
  * --min-table-speedup X exits nonzero when the table kernel falls
  * short of the floor.
  *
@@ -47,6 +51,7 @@
 
 #include "common/cli.h"
 #include "common/event_trace.h"
+#include "common/executor.h"
 #include "common/logging.h"
 #include "common/prng.h"
 #include "common/profiler.h"
@@ -139,6 +144,10 @@ main(int argc, char **argv)
         }
     }
 
+    // Serial work only: SystolicGemm would otherwise spread a fold's
+    // rows over the pool, and the gates compare single-thread kernels.
+    Executor::global().setThreads(1);
+
     const int bits = 8;
     const int dim = 16; // 16x16 tile, 16 input rows
     ArrayConfig cfg;
@@ -178,14 +187,14 @@ main(int argc, char **argv)
         for (const auto &p : points) {
             cfg.kernel = p.kern;
             const SystolicArray scalar(cfg);
-            const PackedArray packed(cfg);
+            const SystolicGemm packed(cfg);
 
             // Equivalence sanity: a perf number for a wrong kernel is
             // worse than no number.
             FoldStatsDelta scratch;
             const auto ref = scalar.runFold(input, weights, &scratch);
-            const auto got = packed.runFold(input, weights, &scratch);
-            fatalIf(!(ref.output == got.output) || ref.cycles != got.cycles,
+            const auto got = packed.run(input, weights, &scratch);
+            fatalIf(!(ref.output == got.acc) || ref.cycles != got.cycles,
                     std::string("packed/scalar mismatch for ") +
                         p.kern.name());
 
@@ -200,7 +209,7 @@ main(int argc, char **argv)
                             p.scalar_reps));
                 packed_us = std::min(
                     packed_us,
-                    chunkUs([&] { packed.runFold(input, weights, &scratch); },
+                    chunkUs([&] { packed.run(input, weights, &scratch); },
                             p.scalar_reps * 100));
             }
             const double speedup = scalar_us / packed_us;
@@ -234,9 +243,9 @@ main(int argc, char **argv)
         const auto input = randomCodes(dim, dim, prng);
         const auto weights = randomCodes(dim, dim, prng);
         cfg.kernel = {Scheme::USystolicRate, bits, 0};
-        const PackedArray packed(cfg);
+        const SystolicGemm packed(cfg);
         FoldStatsDelta scratch;
-        auto fold = [&] { packed.runFold(input, weights, &scratch); };
+        auto fold = [&] { packed.run(input, weights, &scratch); };
 
         // Interleave the A / B / scopes-on trials and take the minimum
         // of each: sequential blocks see monotonic frequency drift
@@ -423,10 +432,11 @@ main(int argc, char **argv)
     }
 
     // ---- Fold kernels: product-table rows vs per-MAC packed streams --
-    // A 64x64 8-bit UR tile with 64 input rows. A fault-free fold runs
-    // the table row kernel; an accumulator fault plan whose rate fires
-    // no event on this tile forces the per-MAC stream path (the one
-    // faulted folds and table-less widths take) on the same operands.
+    // A 64x64 8-bit UR tile with 64 input rows. A fault-free one-fold
+    // GEMM runs the table row kernel; PackedArray under an accumulator
+    // fault plan whose rate fires no event on this tile runs the
+    // per-MAC stream path (the one faulted folds and table-less widths
+    // take) on the same operands.
     // The census must be empty and the outputs identical before either
     // number is recorded.
     double table_speedup = 1.0;
@@ -441,18 +451,18 @@ main(int argc, char **argv)
         pcfg.rows = pdim;
         pcfg.cols = pdim;
         pcfg.kernel = {Scheme::USystolicRate, bits, 0};
-        const PackedArray table(pcfg);
+        const SystolicGemm table(pcfg);
         pcfg.faults.seed = 1;
         pcfg.faults.rates.accumulator = 1e-12;
         const PackedArray stream(pcfg);
         FoldStatsDelta scratch;
 
         FoldStatsDelta census;
-        const auto table_out = table.runFold(input, weights, &scratch);
+        const auto table_out = table.run(input, weights, &scratch);
         const auto stream_out = stream.runFold(input, weights, &census);
         fatalIf(census.faultTotal() != 0,
                 "stream-path fault plan fired an event");
-        fatalIf(!(table_out.output == stream_out.output) ||
+        fatalIf(!(table_out.acc == stream_out.output) ||
                     table_out.cycles != stream_out.cycles,
                 "table/stream fold mismatch");
 
@@ -466,7 +476,7 @@ main(int argc, char **argv)
                         2));
             table_us = std::min(
                 table_us,
-                chunkUs([&] { table.runFold(input, weights, &scratch); },
+                chunkUs([&] { table.run(input, weights, &scratch); },
                         32));
         }
         table_speedup = stream_us / table_us;
@@ -504,7 +514,7 @@ main(int argc, char **argv)
         scfg.rows = sdim;
         scfg.cols = sdim;
         scfg.kernel = {Scheme::USystolicRate, bits, 0};
-        const PackedArray packed(scfg);
+        const SystolicGemm packed(scfg);
         scfg.faults.seed = 1;
         scfg.faults.rates.accumulator = 1e-12;
         const PackedArray stream(scfg);
@@ -524,9 +534,9 @@ main(int argc, char **argv)
                     if (prng.below(100) < lv.pct)
                         input(r, c) = 0;
             FoldStatsDelta census;
-            const auto got = packed.runFold(input, weights, &scratch);
+            const auto got = packed.run(input, weights, &scratch);
             const auto ref = stream.runFold(input, weights, &census);
-            fatalIf(census.faultTotal() != 0 || !(got.output == ref.output),
+            fatalIf(census.faultTotal() != 0 || !(got.acc == ref.output),
                     std::string("table/stream mismatch at ") + lv.tag);
             inputs.push_back(std::move(input));
         }
@@ -539,8 +549,8 @@ main(int argc, char **argv)
                 us[i] = std::min(
                     us[i], chunkUs(
                                [&] {
-                                   packed.runFold(inputs[i], weights,
-                                                  &scratch);
+                                   packed.run(inputs[i], weights,
+                                              &scratch);
                                },
                                3));
         s0_us = us[0];

@@ -8,6 +8,7 @@
 #include "common/executor.h"
 #include "common/profiler.h"
 #include "common/stats_registry.h"
+#include "arch/functional.h"
 #include "arch/packed_array.h"
 #include "arch/pe.h"
 #include "mem/dram_faults.h"
@@ -28,6 +29,24 @@ appendRun(std::vector<FoldStatsDelta::RowsRun> &runs,
 }
 
 } // namespace
+
+const Matrix<i32> &
+latchWeights(const FaultPlan *plan, int bits, const Matrix<i32> &w,
+             Matrix<i32> &latched, int rows, int cols, u64 k_tiles,
+             u64 tile0)
+{
+    if (!plan || plan->rates.weight_reg <= 0.0)
+        return w;
+    latched = w;
+    for (int k = 0; k < w.rows(); ++k)
+        for (int n = 0; n < w.cols(); ++n) {
+            const u64 tile = tile0 + u64(n / cols) * k_tiles + u64(k / rows);
+            if (const auto f =
+                    plan->weightReg(tile, k % rows, n % cols, u32(bits)))
+                latched(k, n) = corruptCode(*f, latched(k, n), bits);
+        }
+    return latched;
+}
 
 void
 FoldStatsDelta::add(int m_rows, int rows, int cols, Cycles cycles,
@@ -178,20 +197,10 @@ SystolicArray::runFold(const Matrix<i32> &input,
         delta.addFaults(
             countFoldFaults(*plan, kern, tile, m_rows, rows, cols));
 
-    // WeightReg site: corrupt the stationary weight codes before the
-    // preload latches them (identical pre-corruption in every engine).
-    const Matrix<i32> *wp = &weights;
-    Matrix<i32> wfaulted;
-    if (plan && plan->rates.weight_reg > 0.0) {
-        wfaulted = weights;
-        for (int r = 0; r < rows; ++r)
-            for (int c = 0; c < cols; ++c)
-                if (const auto f =
-                        plan->weightReg(tile, r, c, u32(kern.bits)))
-                    wfaulted(r, c) =
-                        corruptCode(*f, wfaulted(r, c), kern.bits);
-        wp = &wfaulted;
-    }
+    // WeightReg site: the preload latches the corrupted codes.
+    Matrix<i32> latched;
+    const Matrix<i32> &w = latchWeights(plan, kern.bits, weights, latched,
+                                        rows, cols, 1, tile);
 
     const bool unary = isUnary(kern.scheme);
     std::vector<std::vector<std::vector<LaneSignals>>> traces(rows);
@@ -227,7 +236,7 @@ SystolicArray::runFold(const Matrix<i32> &input,
         rows, std::vector<PeCore>(cols, PeCore(kern)));
     for (int r = 0; r < rows; ++r) {
         for (int c = 0; c < cols; ++c) {
-            cores[r][c].loadWeight((*wp)(r, c));
+            cores[r][c].loadWeight(w(r, c));
             if (plan)
                 cores[r][c].attachFaults(plan, tile, r, c);
         }
@@ -298,14 +307,15 @@ struct OperandZeros
  * of (row m, column block j), counting the operands' zeros on the way:
  * each row of A in its block-0 task (a k_dim scan beside the task's
  * k_dim x 256 MACs, so it stays inside gemm.rows), each column block
- * of B in its row-0 task, interleaved with the kernel a chunk of rows
- * at a time. Chunked partial rows sum exactly: integer adds
- * reassociate, and the early-termination shift distributes over the
- * row sum.
+ * of `census_b` (b before weight-register faults, same shape) in its
+ * row-0 task, interleaved with the kernel a chunk of rows at a time.
+ * Chunked partial rows sum exactly: integer adds reassociate, and the
+ * early-termination shift distributes over the row sum.
  */
 OperandZeros
 foldFreeGemm(const GemmExecutor &kernel, const Matrix<i32> &a,
-             const Matrix<i32> &b, Matrix<i64> &acc)
+             const Matrix<i32> &b, const Matrix<i32> &census_b,
+             Matrix<i64> &acc)
 {
     const int k_dim = a.cols();
     const int n_dim = b.cols();
@@ -334,11 +344,13 @@ foldFreeGemm(const GemmExecutor &kernel, const Matrix<i32> &a,
         u64 zeros = 0;
         for (int k0 = 0; k0 < k_dim; k0 += chunk_rows) {
             const int kc = std::min(chunk_rows, k_dim - k0);
-            const i32 *chunk = b_block + std::size_t(k0) * ldb;
+            const std::size_t off = std::size_t(k0) * ldb;
+            const i32 *chunk = b_block + off;
             {
                 USYS_PROF_SCOPE("gemm.census");
+                const i32 *census = census_b.data().data() + n0 + off;
                 for (int k = 0; k < kc; ++k)
-                    zeros += countZeros(chunk + std::size_t(k) * ldb, nb);
+                    zeros += countZeros(census + std::size_t(k) * ldb, nb);
             }
             std::fill(part, part + nb, 0);
             kernel.runRow(a_row + k0, chunk, ldb, kc, nb, part);
@@ -402,22 +414,26 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         pb = &b_faulted;
     }
 
-    // Fold-free pass: when every fold would run the table row kernel
-    // (no per-fold fault site; DRAM faults are applied above), the
-    // whole GEMM is one blocked pass of that kernel over the untiled
+    // Fold-free pass: with no per-MAC fault site in the plan, the whole
+    // GEMM is one blocked pass of the table row kernel over the untiled
     // operands, and the folds' stats follow in closed form (DESIGN.md
-    // §13). Weight-register faults corrupt per fold coordinate, so they
-    // stay on the fold loop below, as do empty operands (B's census
-    // rides on the tasks of row 0).
+    // §13). DRAM faults are applied above; each weight-register fault
+    // corrupts the one B element its fold latches, so a latched copy of
+    // B stands in for the folds (padded slots meet A's zero padding or
+    // a discarded column). Per-MAC sites and table-less widths stay on
+    // the fold loop below, as do empty operands (B's census rides on
+    // the tasks of row 0).
     const FaultRates &fr = fp.rates;
-    const bool per_fold_faults = fr.weight_reg > 0.0 ||
-                                 fr.activation_stream > 0.0 ||
-                                 fr.weight_stream > 0.0 ||
-                                 fr.accumulator > 0.0;
-    if (packed && GemmExecutor::hasTables(kern) && !per_fold_faults &&
+    const bool per_mac_faults = fr.activation_stream > 0.0 ||
+                                fr.weight_stream > 0.0 ||
+                                fr.accumulator > 0.0;
+    if (packed && GemmExecutor::hasTables(kern) && !per_mac_faults &&
         m_rows > 0 && k_dim > 0 && n_dim > 0) {
+        Matrix<i32> b_latched;
+        const Matrix<i32> &bl = latchWeights(&fp, kern.bits, *pb, b_latched,
+                                             rows, cols, k_tiles);
         const OperandZeros zeros =
-            foldFreeGemm(GemmExecutor(kern), *pa, *pb, result.acc);
+            foldFreeGemm(GemmExecutor(kern), *pa, bl, *pb, result.acc);
         const Cycles latency = scalar_array.foldLatency(m_rows);
         result.cycles = result.folds * latency;
 
@@ -425,6 +441,10 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         delta.add(m_rows, rows, cols, latency, laneTraceLength(kern),
                   result.folds);
         delta.faults_dram = dram_events;
+        if (fr.weight_reg > 0.0)
+            for (u64 t = 0; t < result.folds; ++t)
+                delta.addFaults(
+                    countFoldFaults(fp, kern, t, m_rows, rows, cols));
         // Every fold stages one zero-padded K-tile of A and one
         // zero-padded weight tile: A's tiles are each streamed once per
         // column tile, the weight tiles partition the padded B.
@@ -443,10 +463,7 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
         return result;
     }
 
-    // Built only when used: construction resolves the product tables.
-    std::optional<PackedArray> packed_array;
-    if (packed)
-        packed_array.emplace(cfg_);
+    const PackedArray packed_array(cfg_);
 
     // Stage every K-tile of A once, up front, shared read-only across
     // the column-tile shards — instead of every shard re-staging the
@@ -470,7 +487,8 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
     // so the shards can run concurrently; per-shard cycle counts and
     // stats deltas are reduced serially in tile order below, keeping
     // totals and dumps identical to the serial loop.
-    std::vector<FoldStatsDelta> deltas(n_tiles);
+    // One delta even when N = 0: it still books A's DRAM events.
+    std::vector<FoldStatsDelta> deltas(std::max<u64>(n_tiles, 1));
     deltas[0].faults_dram = dram_events;
     std::vector<Cycles> tile_cycles(n_tiles, 0);
     auto run_tile = [&](u64 ti) {
@@ -491,28 +509,23 @@ SystolicGemm::run(const Matrix<i32> &a, const Matrix<i32> &b,
             // site hashes, identical under any tile schedule.
             const u64 tile = ti * k_tiles + kt;
             const auto fold =
-                packed ? packed_array->runFold(in, w_tile, &deltas[ti],
-                                               tile)
-                       : scalar_array.runFold(in, w_tile, &deltas[ti],
-                                              tile);
+                packed ? packed_array.runFold(in, w_tile, &deltas[ti], tile)
+                       : scalar_array.runFold(in, w_tile, &deltas[ti], tile);
             tile_cycles[ti] += fold.cycles;
             for (int m = 0; m < m_rows; ++m)
                 for (int c = 0; c < cols && n0 + c < n_dim; ++c)
                     result.acc(m, n0 + c) += fold.output(m, c);
         }
     };
-    if (packed)
-        parallelFor(0, n_tiles, run_tile);
-    else
-        for (u64 ti = 0; ti < n_tiles; ++ti)
-            run_tile(ti);
+    parallelFor(0, n_tiles, run_tile);
 
-    for (u64 ti = 0; ti < n_tiles; ++ti) {
-        result.cycles += tile_cycles[ti];
+    for (const Cycles c : tile_cycles)
+        result.cycles += c;
+    for (const FoldStatsDelta &delta : deltas) {
         if (stats)
-            stats->merge(deltas[ti]);
+            stats->merge(delta);
         else
-            deltas[ti].flush(kern);
+            delta.flush(kern);
     }
     return result;
 }

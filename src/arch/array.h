@@ -62,6 +62,20 @@ laneTraceLength(const KernelConfig &kern)
 }
 
 /**
+ * WeightReg site: the codes a rows x cols array latches for the K x N
+ * weights `w`. Element (k, n) sits in PE (k % rows, n % cols) of fold
+ * tile0 + (n / cols) * k_tiles + k / rows (SystolicGemm's numbering),
+ * and a fault there corrupts it once, at preload; one fold's R x C
+ * tile is the case k_tiles = 1 with tile0 its fold index. Returns `w`
+ * itself when `plan` is null or sets no weight-register rate, else
+ * fills and returns `latched`. Every engine latches through here.
+ */
+const Matrix<i32> &latchWeights(const FaultPlan *plan, int bits,
+                                const Matrix<i32> &w, Matrix<i32> &latched,
+                                int rows, int cols, u64 k_tiles = 1,
+                                u64 tile0 = 0);
+
+/**
  * Locally accumulated stats-registry deltas of runFold() calls.
  *
  * The global StatsRegistry is not safe for concurrent updates, so
@@ -194,17 +208,20 @@ class SystolicGemm
      * Compute C = A (M x K) x B (K x N), tiling K over array rows and N
      * over array columns, accumulating partial sums across K folds.
      *
-     * With the packed engine enabled (see packedEngineEnabled()) and no
-     * per-fold fault site (weight register, activation stream, weight
+     * This is where the engine is chosen. With the packed engine
+     * enabled (see packedEngineEnabled()), product tables for the
+     * kernel, and no per-MAC fault site (activation stream, weight
      * stream, accumulator) in the plan, the GEMM is one fold-free pass
      * of GemmExecutor's row kernel over the untiled operands, as
-     * parallel (row, column block) tasks, and the folds' cycles and
-     * stats — census included — are booked in closed form (DESIGN.md
-     * §13). Otherwise the folds run one by one, on PackedArray with the
-     * column-tile shards under parallelFor, or on the scalar
-     * SystolicArray serially; per-shard stats deltas are flushed in
-     * tile order. Either way results, cycle counts and stats dumps are
-     * identical to the scalar serial path.
+     * parallel (row, column block) tasks: DRAM and weight-register
+     * faults corrupt a copy of the operands first (latchWeights()), and
+     * the folds' cycles and stats — fault and sparsity census included —
+     * are booked in closed form (DESIGN.md §13). Otherwise the folds
+     * run one by one, on PackedArray or (--no-packed) the scalar
+     * SystolicArray, with the column-tile shards under parallelFor and
+     * their stats deltas flushed in tile order. Either way results,
+     * cycle counts and stats dumps are identical to the scalar serial
+     * path at any thread count.
      *
      * @param stats if non-null, merge this GEMM's registry deltas there
      *        (in tile order) instead of flushing them to the global

@@ -7,7 +7,6 @@
 #include "common/fixed_point.h"
 #include "common/simd.h"
 #include "arch/pe.h"
-#include "mem/dram_faults.h"
 
 namespace usys {
 
@@ -235,20 +234,6 @@ GemmExecutor::runRow(const i32 *a_row, const i32 *b, std::size_t ldb,
     if (shift_ > 0)
         for (int n = 0; n < n_dim; ++n)
             acc[n] *= i64(1) << shift_;
-}
-
-Matrix<i64>
-GemmExecutor::run(const Matrix<i32> &a, const Matrix<i32> &b,
-                  const FaultPlan &plan) const
-{
-    if (!plan.enabled() || plan.rates.dram_word <= 0.0)
-        return run(a, b);
-    // Corrupt operand copies exactly as SystolicGemm does at entry.
-    Matrix<i32> af = a;
-    Matrix<i32> bf = b;
-    applyDramFaults(plan, af, kDramOperandA, cfg_.bits);
-    applyDramFaults(plan, bf, kDramOperandB, cfg_.bits);
-    return run(af, bf);
 }
 
 double

@@ -6,15 +6,16 @@
  * SystolicArray (tests assert exact agreement) from the precomputed
  * unary product tables, making full DNN inference through the unary
  * datapath tractable. Its serial row kernel, runRow(), is also the
- * packed engine's fault-free GEMM and fold (DESIGN.md §13). Each
- * (row, k) step fetches the one table row its input selects and indexes it across B's row k (weights decode to
- * sign and magnitude branch-free), so a MAC is one table load and an
- * add into the row's i64 accumulators. uSystolic rate/temporal rows
- * skip every k-step whose input delivers no 1-bits (a == 0, or a rate
- * stream truncated before its first 1): countAfterOnes(0, w) == 0, so
- * the skip is exact. uGEMM-H skips zero inputs too, as its tables make
- * a zero input a zero product (BipolarProductModel checks this when
- * built), but never zero weights, which are not. Results are returned in
+ * fold-free pass of SystolicGemm::run (DESIGN.md §13). Each (row, k)
+ * step fetches the one table row its input selects and indexes it
+ * across B's row k (weights decode to sign and magnitude
+ * branch-free), so a MAC is one table load and an add into the row's
+ * i64 accumulators. uSystolic rate/temporal rows skip every k-step
+ * whose input delivers no 1-bits (a == 0, or a rate stream truncated
+ * before its first 1): countAfterOnes(0, w) == 0, so the skip is
+ * exact. uGEMM-H skips zero inputs too, as its tables make a zero
+ * input a zero product (BipolarProductModel checks this when built),
+ * but never zero weights, which are not. Results are returned in
  * scheme-native accumulator units; resultScale() converts them to
  * exact-product units.
  */
@@ -26,7 +27,6 @@
 
 #include "common/matrix.h"
 #include "arch/scheme.h"
-#include "fault/fault.h"
 #include "unary/product_table.h"
 
 namespace usys {
@@ -64,17 +64,6 @@ class GemmExecutor
      */
     void runRow(const i32 *a_row, const i32 *b, std::size_t ldb,
                 int k_dim, int n_dim, i64 *acc) const;
-
-    /**
-     * Same GEMM under a fault plan. The functional model has no cycle
-     * or stream state, so only the DramWord site is representable here;
-     * the per-fold sites (weight registers, streams, accumulators)
-     * require a cycle/stream engine and are ignored — callers wanting
-     * the full model run SystolicGemm. With a dram-only plan this is
-     * bit-exact against SystolicGemm::run under the same plan.
-     */
-    Matrix<i64> run(const Matrix<i32> &a, const Matrix<i32> &b,
-                    const FaultPlan &plan) const;
 
     /**
      * Factor converting accumulator units to exact-product units:

@@ -414,8 +414,6 @@ PackedArray::PackedArray(const ArrayConfig &cfg)
     : cfg_(cfg)
 {
     cfg_.check();
-    if (GemmExecutor::hasTables(cfg_.kernel))
-        table_.emplace(cfg_.kernel);
 }
 
 SystolicArray::FoldResult
@@ -451,26 +449,14 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
     if (plan)
         delta.addFaults(countFoldFaults(*plan, kern, tile, m_rows, rows,
                                         cols));
-    const bool fw = plan && plan->rates.weight_reg > 0.0;
     const bool fa = plan && plan->rates.activation_stream > 0.0;
-    const bool fs = plan && plan->rates.weight_stream > 0.0;
     const bool fo = plan && plan->rates.accumulator > 0.0;
     const u32 acc_width = accumulatorWidth(kern);
 
-    // WeightReg site: stationary weights corrupt once at preload, so a
-    // corrupted copy up front is exactly the scalar engine's behavior.
-    const Matrix<i32> *wp = &weights;
-    Matrix<i32> wfaulted;
-    if (fw) {
-        wfaulted = weights;
-        for (int r = 0; r < rows; ++r)
-            for (int c = 0; c < cols; ++c)
-                if (const auto f = plan->weightReg(tile, r, c,
-                                                   u32(kern.bits)))
-                    wfaulted(r, c) =
-                        corruptCode(*f, wfaulted(r, c), kern.bits);
-        wp = &wfaulted;
-    }
+    // WeightReg site: the preload latches the corrupted codes.
+    Matrix<i32> latched;
+    const Matrix<i32> &w = latchWeights(plan, kern.bits, weights, latched,
+                                        rows, cols, 1, tile);
 
     // Staged-value schemes (binary, tubGEMM, tuGEMM): every MAC is the
     // exact product of the weight and one staged activation value, so
@@ -506,31 +492,23 @@ PackedArray::runFold(const Matrix<i32> &input, const Matrix<i32> &weights,
     }
 
     Matrix<i64> out(m_rows, cols, 0);
-    if (table_ && !fo && (staged || (!fa && !fs))) {
-        // No per-MAC fault site is active (weight-register and DRAM
-        // faults already corrupted the codes above), so the fold is the
-        // product-table row kernel of DESIGN.md §17 — the same counts
-        // the stream path below derives, read from the shared tables.
-        USYS_PROF_SCOPE("fold.packed.mac");
-        for (int m = 0; m < m_rows; ++m)
-            table_->runRow(&(*ip)(m, 0), wp->data().data(),
-                           std::size_t(cols), rows, cols, &out(m, 0));
-    } else if (staged) {
+    if (staged) {
         // Accumulator site: per-MAC signed OREG contribution, pre-merge
         // — same point as PeCore::finishMac.
         for (int m = 0; m < m_rows; ++m)
             for (int r = 0; r < rows; ++r) {
                 const i64 a = (*ip)(m, r);
                 for (int c = 0; c < cols; ++c) {
-                    i64 contrib = a * i64((*wp)(r, c));
-                    if (const auto f =
-                            plan->accumulator(tile, m, r, c, acc_width))
-                        contrib = f->applyToInt(contrib, acc_width);
+                    i64 contrib = a * i64(w(r, c));
+                    if (fo)
+                        if (const auto f = plan->accumulator(tile, m, r, c,
+                                                             acc_width))
+                            contrib = f->applyToInt(contrib, acc_width);
                     out(m, c) += contrib;
                 }
             }
     } else {
-        streamFold(cfg_, input, *wp, out, tile);
+        streamFold(cfg_, input, w, out, tile);
     }
 
     if (!stats)

@@ -21,29 +21,28 @@
  * integer products once the activation's code or ones-count is staged.
  * See DESIGN.md §8 for the full derivation.
  *
- * A fold with no per-MAC fault site active (weight-register and DRAM
- * faults pre-corrupt the staged codes; for the staged-value schemes so
- * do activation faults) runs GemmExecutor's row kernel, which reads
- * these counts from the shared product tables (DESIGN.md §17). Folds
- * under activation-stream, weight-stream or accumulator faults, and
- * unary widths beyond the tables, run the per-MAC packed-stream path,
- * which materializes the weight-comparison streams as packed words and
+ * PackedArray is the fold engine for what the fold-free pass of
+ * SystolicGemm::run (GemmExecutor's product-table row kernel, DESIGN.md
+ * §13/§17) cannot express: folds under activation-stream, weight-stream
+ * or accumulator faults, and unary widths beyond the tables. The
+ * staged-value schemes run an integer-product loop with their
+ * activation faults pre-applied to the staged values; the
+ * comparator-BSG schemes run the per-MAC packed-stream path, which
+ * materializes the weight-comparison streams as packed words and
  * answers each count with one masked popcount (DESIGN.md §13).
  */
 
 #ifndef USYS_ARCH_PACKED_ARRAY_H
 #define USYS_ARCH_PACKED_ARRAY_H
 
-#include <optional>
-
 #include "common/matrix.h"
 #include "common/types.h"
 #include "arch/array.h"
-#include "arch/functional.h"
 
 namespace usys {
 
-/** Word-packed drop-in for SystolicArray::runFold. */
+/** Word-packed drop-in for SystolicArray::runFold, for the folds the
+ *  fold-free pass cannot run (per-MAC fault sites, table-less widths). */
 class PackedArray
 {
   public:
@@ -69,9 +68,6 @@ class PackedArray
 
   private:
     ArrayConfig cfg_;
-    // Row kernel over the product tables; empty for unary widths the
-    // tables do not cover.
-    std::optional<GemmExecutor> table_;
 };
 
 } // namespace usys

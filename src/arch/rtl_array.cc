@@ -72,18 +72,9 @@ RtlArray::runFold(const Matrix<i32> &input,
     // weight row r.
     // WeightReg faults corrupt the codes entering the preload pipe, so
     // the corrupted value is what shifts down and latches.
-    const Matrix<i32> *wsrc = &weights;
-    Matrix<i32> wfaulted;
-    if (plan && plan->rates.weight_reg > 0.0) {
-        wfaulted = weights;
-        for (int r = 0; r < rows; ++r)
-            for (int c = 0; c < cols; ++c)
-                if (const auto f =
-                        plan->weightReg(0, r, c, u32(kern.bits)))
-                    wfaulted(r, c) =
-                        corruptCode(*f, wfaulted(r, c), kern.bits);
-        wsrc = &wfaulted;
-    }
+    Matrix<i32> latched;
+    const Matrix<i32> &wsrc =
+        latchWeights(plan, kern.bits, weights, latched, rows, cols);
 
     std::vector<std::vector<i32>> wpipe(rows, std::vector<i32>(cols, 0));
     Cycles cycle = 0;
@@ -91,7 +82,7 @@ RtlArray::runFold(const Matrix<i32> &input,
         for (int r = rows - 1; r > 0; --r)
             wpipe[r] = wpipe[r - 1];
         for (int c = 0; c < cols; ++c)
-            wpipe[0][c] = (*wsrc)(rows - 1 - beat, c);
+            wpipe[0][c] = wsrc(rows - 1 - beat, c);
     }
     for (int r = 0; r < rows; ++r)
         for (int c = 0; c < cols; ++c) {

@@ -121,16 +121,16 @@ class ProgressMeter
 };
 
 /**
- * Global gate for the fast simulation path, and the only engine
- * option: PackedArray folds plus tile-/layer-parallel scheduling.
- * A fault-free packed GEMM is one fold-free pass of the product-table
- * row kernel (GemmExecutor::runRow, DESIGN.md §13/§17); folds under
- * per-MAC fault sites and unary widths beyond the tables run packed
- * bitstreams (DESIGN.md §13) — chosen from the fault plan and
- * bitwidth, never from a flag. Defaults to on; the scalar reference engine stays
- * available behind --no-packed as the referee. Both engines are
- * bit-exact, produce the same cycle counts, and commit identical
- * stats-registry deltas.
+ * The only engine option; it selects the engine and nothing else
+ * (parallelism is --threads alone). On (the default), SystolicGemm
+ * runs a GEMM with no per-MAC fault site as one fold-free pass of the
+ * product-table row kernel (GemmExecutor::runRow, DESIGN.md §13/§17),
+ * and folds under per-MAC fault sites or at unary widths beyond the
+ * tables on PackedArray — chosen from the fault plan and bitwidth,
+ * never from a flag. Off (--no-packed), every fold runs on the scalar
+ * reference SystolicArray, the referee. Both engines are bit-exact,
+ * produce the same cycle counts, and commit identical stats-registry
+ * deltas.
  */
 bool packedEngineEnabled();
 

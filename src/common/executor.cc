@@ -1,9 +1,12 @@
 #include "common/executor.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <string>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/profiler.h"
@@ -27,8 +30,6 @@ elapsedNs(SteadyClock::time_point from, SteadyClock::time_point to)
  *  that makes nested parallelFor calls run inline. */
 thread_local bool tl_in_region = false;
 
-bool g_forkjoin_baseline = false;
-
 unsigned
 resolveAutoThreads()
 {
@@ -44,18 +45,6 @@ resolveAutoThreads()
 }
 
 } // namespace
-
-void
-setForkJoinBaseline(bool on)
-{
-    g_forkjoin_baseline = on;
-}
-
-bool
-forkJoinBaseline()
-{
-    return g_forkjoin_baseline;
-}
 
 /**
  * The worker pool plus the (single) active region's shared state.

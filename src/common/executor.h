@@ -3,12 +3,12 @@
  * Process-wide persistent work-stealing executor.
  *
  * One lazily-started pool of worker threads serves every parallelFor in
- * the process, replacing the old fork-join loop that spawned and joined
- * threads per call. Each parallel region splits its index range into
- * grain-sized chunks, deals contiguous runs of chunks to per-thread
- * deques, and lets idle threads steal from the back of a victim's deque
- * (owners pop from the front), so skewed per-chunk costs rebalance
- * without a central cursor fight.
+ * the process, so no call spawns or joins threads, and it alone decides
+ * how a region is parallelized. Each parallel region splits its index
+ * range into grain-sized chunks, deals contiguous runs of chunks to
+ * per-thread deques, and lets idle threads steal from the back of a
+ * victim's deque (owners pop from the front), so skewed per-chunk costs
+ * rebalance without a central cursor fight.
  *
  * Guarantees, relied on throughout the simulator:
  *
@@ -18,8 +18,7 @@
  *    hardware_concurrency()^2 threads.
  *  - Exceptions propagate. The first exception thrown by any worker is
  *    captured and rethrown at the join point on the calling thread
- *    (remaining chunks are skipped); the old loop called
- *    std::terminate.
+ *    (remaining chunks are skipped).
  *  - Thread count is controllable: `USYS_THREADS` in the environment,
  *    `--threads N` on every bench binary and tools/usim, or
  *    Executor::setThreads(). A count of 1 is a true serial fallback —
@@ -38,14 +37,10 @@
 #define USYS_COMMON_EXECUTOR_H
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
-#include "common/profiler.h"
 #include "common/types.h"
 
 namespace usys {
@@ -136,84 +131,6 @@ class Executor
 };
 
 /**
- * Bench/test hook: when enabled, parallelFor reverts to the pre-executor
- * fork-join behaviour (spawn threads per call, join, no nesting rule) so
- * end-to-end benchmarks can time the old regime against the pool.
- */
-void setForkJoinBaseline(bool on);
-bool forkJoinBaseline();
-
-namespace detail {
-
-/** The legacy fork-join loop, kept verbatim as the benchmark baseline
- *  (plus exception capture so a bench failure cannot terminate). */
-template <typename Fn>
-void
-forkJoinParallelFor(u64 begin, u64 end, Fn &&fn, u64 grain,
-                    unsigned max_workers)
-{
-    const u64 n = end - begin;
-    const u64 chunks = (n + grain - 1) / grain;
-    unsigned workers =
-        unsigned(std::max<u64>(1, std::min<u64>(max_workers, chunks)));
-    if (workers == 1) {
-        for (u64 i = begin; i < end; ++i)
-            fn(i);
-        return;
-    }
-
-    std::atomic<u64> next_chunk{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    auto body = [&]() {
-        for (;;) {
-            const u64 c = next_chunk.fetch_add(1);
-            if (c >= chunks)
-                return;
-            if (failed.load(std::memory_order_relaxed))
-                continue;
-            const u64 lo = begin + c * grain;
-            const u64 hi = std::min(end, lo + grain);
-            try {
-                for (u64 i = lo; i < hi; ++i)
-                    fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mu);
-                if (!failed.exchange(true))
-                    error = std::current_exception();
-            }
-        }
-    };
-
-    // Re-root the spawned threads' profiler frames under the caller's
-    // scope path, like the executor pool does, so the merged call-tree
-    // keeps the serial nesting. The threads are freshly created (anchor
-    // id 1 always applies); the caller itself already sits on the path.
-    const bool prof_active = Profiler::global().enabled();
-    std::vector<const char *> prof_path;
-    if (prof_active)
-        prof_path = Profiler::global().currentPath();
-    auto worker_body = [&]() {
-        if (prof_active)
-            Profiler::global().applyWorkerAnchor(prof_path, 1);
-        body();
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (unsigned t = 0; t + 1 < workers; ++t)
-        threads.emplace_back(worker_body);
-    body();
-    for (auto &th : threads)
-        th.join();
-    if (error)
-        std::rethrow_exception(error);
-}
-
-} // namespace detail
-
-/**
  * Apply fn(i) for all i in [begin, end) across the executor's threads.
  *
  * Indices are handed out in chunks of `grain` consecutive indices; each
@@ -240,11 +157,6 @@ parallelFor(u64 begin, u64 end, Fn &&fn, u64 grain = 1)
         grain = 1;
 
     Executor &ex = Executor::global();
-    if (forkJoinBaseline() && !Executor::inParallelRegion()) {
-        detail::forkJoinParallelFor(begin, end, fn, grain, ex.threads());
-        return;
-    }
-
     const u64 chunks = (n + grain - 1) / grain;
     if (chunks == 1 || Executor::inParallelRegion() || ex.threads() == 1) {
         for (u64 i = begin; i < end; ++i)

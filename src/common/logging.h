@@ -84,6 +84,22 @@ fatalIf(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+// Literal-message forms: a check that holds builds no std::string, so
+// per-call config checks on hot paths cost a compare, not a malloc.
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond)
+        panic(msg);
+}
+
+inline void
+fatalIf(bool cond, const char *msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
 } // namespace usys
 
 #endif // USYS_COMMON_LOGGING_H

@@ -4,6 +4,7 @@
 
 #include "common/executor.h"
 #include "common/fixed_point.h"
+#include "common/profiler.h"
 #include "common/simd.h"
 #include "arch/functional.h"
 

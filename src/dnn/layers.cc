@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/executor.h"
+#include "common/profiler.h"
 
 namespace usys {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/cli.h"
 #include "common/event_trace.h"
 #include "common/executor.h"
 #include "common/profiler.h"
@@ -185,19 +184,14 @@ simulateLayerBatch(const std::vector<LayerJob> &jobs)
 {
     USYS_PROF_SCOPE("sim.layer_batch");
     std::vector<LayerStats> out(jobs.size());
-    if (packedEngineEnabled() && jobs.size() > 1) {
-        // Pure math in parallel; observability committed serially in job
-        // order so stats/trace dumps match the serial loop byte for byte.
-        parallelFor(0, jobs.size(), [&](u64 i) {
-            USYS_PROF_SCOPE("sim.layer");
-            out[i] = computeLayerStats(jobs[i].sys, jobs[i].layer);
-        });
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            recordLayerObservability(jobs[i].sys, jobs[i].layer, out[i]);
-    } else {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            out[i] = simulateLayer(jobs[i].sys, jobs[i].layer);
-    }
+    // Pure math in parallel; observability committed serially in job
+    // order so stats/trace dumps match the serial loop byte for byte.
+    parallelFor(0, jobs.size(), [&](u64 i) {
+        USYS_PROF_SCOPE("sim.layer");
+        out[i] = computeLayerStats(jobs[i].sys, jobs[i].layer);
+    });
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        recordLayerObservability(jobs[i].sys, jobs[i].layer, out[i]);
     return out;
 }
 

@@ -110,10 +110,9 @@ struct LayerJob
  * simulateLayer() in a loop over `jobs`, including the order of every
  * stats-registry update and trace event.
  *
- * With the packed engine enabled (see packedEngineEnabled()) the pure
- * roofline math fans out over parallelFor; observability is then
- * committed serially in job order, so dumps stay byte-identical to the
- * serial path (and across repeated parallel runs).
+ * The pure roofline math fans out over parallelFor; observability is
+ * then committed serially in job order, so dumps stay byte-identical
+ * to the serial loop at any thread count.
  */
 std::vector<LayerStats> simulateLayerBatch(const std::vector<LayerJob> &jobs);
 

@@ -6,10 +6,11 @@
 #
 # Runs the sweep at 1 and 3 executor threads and requires the
 # stats-registry dumps byte-identical (the thread-count determinism
-# contract), then validates BENCH_e2e.json against its schema. On hosts
-# with at least 4 physical cores a third run at the auto thread count
-# additionally enforces the >= 2x executor-vs-forkjoin speedup floor
-# (pointless on smaller hosts, where the binary would skip it anyway).
+# contract), then validates BENCH_e2e.json against its schema. A last
+# run at the auto thread count enforces the >= 2x executor-vs-serial
+# speedup floor; the binary itself skips the floor (printing the
+# measured raw-thread scaling) where plain threads on this host do not
+# scale 2x.
 
 set(stats1 ${WORK_DIR}/e2e.stats.t1.json)
 set(stats3 ${WORK_DIR}/e2e.stats.t3.json)
@@ -83,14 +84,16 @@ if(NOT rc EQUAL 0)
                         "checkpoint restore is not byte-exact")
 endif()
 
-cmake_host_system_information(RESULT cores QUERY NUMBER_OF_PHYSICAL_CORES)
-if(cores GREATER_EQUAL 4)
-    execute_process(
-        COMMAND ${BENCH} --reps 3 --min-speedup 2
-                --out ${artifact} --stats-json ${WORK_DIR}/e2e.stats.perf.json
-        RESULT_VARIABLE rc OUTPUT_QUIET)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "e2e_sweep perf gate failed (${rc}) — "
-                            "executor below 2x over the fork-join baseline")
-    endif()
+execute_process(
+    COMMAND ${BENCH} --reps 3 --min-speedup 2
+            --out ${artifact} --stats-json ${WORK_DIR}/e2e.stats.perf.json
+    RESULT_VARIABLE rc OUTPUT_VARIABLE perf_out)
+string(REGEX MATCHALL "[^\n]*(speedup|skipped)[^\n]*" perf_lines
+       "${perf_out}")
+foreach(line IN LISTS perf_lines)
+    message(STATUS "${line}")
+endforeach()
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "e2e_sweep perf gate failed (${rc}) — "
+                        "executor below 2x over serial")
 endif()

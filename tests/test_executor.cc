@@ -155,24 +155,6 @@ TEST(Executor, NestedExceptionPropagatesThroughBothJoins)
                  std::runtime_error);
 }
 
-TEST(Executor, ForkJoinBaselineStillCorrect)
-{
-    ThreadGuard guard(4);
-    setForkJoinBaseline(true);
-    std::vector<std::atomic<int>> visits(100);
-    parallelFor(0, visits.size(), [&](u64 i) { visits[i].fetch_add(1); },
-                3);
-    EXPECT_THROW(parallelFor(0, 50,
-                             [](u64 i) {
-                                 if (i == 11)
-                                     throw std::runtime_error("fj");
-                             }),
-                 std::runtime_error);
-    setForkJoinBaseline(false);
-    for (const auto &v : visits)
-        EXPECT_EQ(v.load(), 1);
-}
-
 TEST(Executor, UsysThreadsEnvRespected)
 {
     ASSERT_EQ(setenv("USYS_THREADS", "3", 1), 0);

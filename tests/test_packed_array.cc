@@ -250,8 +250,8 @@ class PackedGemmVsScalar : public ::testing::TestWithParam<KernelConfig>
 TEST_P(PackedGemmVsScalar, ZeroHeavyOperandsAcrossThreads)
 {
     // Zero skipping is exact: with ~60% zero activations plus a column
-    // of zero weights, the packed GEMM (fault-free folds on the table
-    // row kernel) must match the --no-packed scalar referee in outputs,
+    // of zero weights, the packed GEMM (the fold-free table row-kernel
+    // pass) must match the --no-packed scalar referee in outputs,
     // cycles, folds and the whole stats dump — sparsity census
     // included — at 1 and 3 executor threads.
     const KernelConfig kern = GetParam();
@@ -318,12 +318,13 @@ sparseMatrix(int rows, int cols, int bits, double zero_frac, Prng &prng)
 TEST(SystolicGemm, FoldFreePassMatchesScalarFoldLoopRandomized)
 {
     // Seeded differential sweep of the packed GEMM (the fold-free
-    // row-kernel pass whenever no per-fold fault site is active; the
-    // fold loop under weight-register faults) against the --no-packed
-    // scalar fold loop on the 12 x 14 edge array: outputs, cycles,
-    // folds and the whole stats dump, sparsity census and the
-    // arch.fold_m_rows histogram included, at 1 and 3 threads and
-    // through both the flush and the deferred-delta form.
+    // row-kernel pass whenever no per-MAC fault site is active, DRAM
+    // and weight-register faults included; the fold loop under
+    // accumulator faults) against the --no-packed scalar fold loop on
+    // the 12 x 14 edge array: outputs, cycles, folds and the whole
+    // stats dump, fault and sparsity census and the arch.fold_m_rows
+    // histogram included, at 1 and 3 threads and through both the
+    // flush and the deferred-delta form.
     PackedFlagGuard guard;
     ThreadsGuard threads;
     // Every scheme, UR also early-terminated (tuGEMM at 4 bits: the
@@ -367,12 +368,16 @@ TEST(SystolicGemm, FoldFreePassMatchesScalarFoldLoopRandomized)
             sparseMatrix(m, k, bits, zero_fracs[prng.below(3)], prng);
         const Matrix<i32> b =
             sparseMatrix(k, n, bits, zero_fracs[prng.below(3)], prng);
-        const u64 plan = prng.below(4); // 0-1 none, 2 DRAM, 3 weight reg
+        // 0-1 none, 2 DRAM, 3 weight reg, 4 weight reg + DRAM,
+        // 5 weight reg + accumulator (the fold loop)
+        const u64 plan = prng.below(6);
         cfg.faults.seed = 0xD1FFull + u64(trial);
-        if (plan == 2)
-            cfg.faults.rates.dram_word = 0.2;
-        else if (plan == 3)
+        if (plan >= 3)
             cfg.faults.rates.weight_reg = 0.2;
+        if (plan == 2 || plan == 4)
+            cfg.faults.rates.dram_word = 0.2;
+        else if (plan == 5)
+            cfg.faults.rates.accumulator = 0.05;
         const std::string what = cfg.kernel.name() + " trial " +
                                  std::to_string(trial) + " " +
                                  std::to_string(m) + "x" +
@@ -406,6 +411,41 @@ TEST(SystolicGemm, FoldFreePassMatchesScalarFoldLoopRandomized)
     }
 }
 
+TEST(SystolicGemm, EmptyOperandsMatchScalar)
+{
+    // M, K or N of zero takes the fold loop; under a DRAM plan the
+    // packed and scalar engines must still agree, and N = 0 (no column
+    // tile to book the DRAM events on) must not index past the shards.
+    PackedFlagGuard guard;
+    ArrayConfig cfg;
+    cfg.rows = 4;
+    cfg.cols = 4;
+    cfg.kernel = {Scheme::USystolicRate, 8, 0};
+    cfg.faults.seed = 9;
+    cfg.faults.rates.dram_word = 0.5;
+    for (const auto &[m, k, n] : {std::tuple{0, 5, 7}, std::tuple{3, 0, 7},
+                                 std::tuple{3, 5, 0}}) {
+        Prng prng(u64(m * 100 + k * 10 + n));
+        const auto a = randomMatrix(m, k, 8, prng);
+        const auto b = randomMatrix(k, n, 8, prng);
+        std::string dumps[2];
+        SystolicGemm::RunResult runs[2];
+        for (const bool packed : {false, true}) {
+            setPackedEngineEnabled(packed);
+            statsRegistry().reset();
+            runs[packed] = SystolicGemm(cfg).run(a, b);
+            dumps[packed] = statsRegistry().dumpText();
+        }
+        const std::string at = std::to_string(m) + "x" + std::to_string(k) +
+                               "x" + std::to_string(n);
+        EXPECT_EQ(runs[1].acc, runs[0].acc) << at;
+        EXPECT_EQ(runs[1].acc.rows(), m) << at;
+        EXPECT_EQ(runs[1].acc.cols(), n) << at;
+        EXPECT_EQ(runs[1].cycles, runs[0].cycles) << at;
+        EXPECT_EQ(dumps[1], dumps[0]) << at;
+    }
+}
+
 /** Packed and scalar runFold on one tile: outputs, cycles, census. */
 void
 expectFoldMatchesScalar(const ArrayConfig &cfg, const Matrix<i32> &input,
@@ -427,11 +467,11 @@ expectFoldMatchesScalar(const ArrayConfig &cfg, const Matrix<i32> &input,
     EXPECT_GT(sd.faultTotal(), 0u) << name << ": plan injected nothing";
 }
 
-TEST(PackedArray, CodeFaultsKeepTableFoldExact)
+TEST(PackedArray, WeightRegFaultsMatchScalarFold)
 {
-    // Weight-register faults pre-corrupt the staged codes, so the fold
-    // stays on the table row kernel; it must still match the scalar
-    // referee, census included, on zero-heavy tiles.
+    // Weight-register faults corrupt the latched codes through the same
+    // latchWeights() in both engines; the packed fold must match the
+    // scalar referee, census included, on zero-heavy tiles.
     for (const KernelConfig kern :
          {KernelConfig{Scheme::USystolicRate, 8, 6},
           KernelConfig{Scheme::UgemmHybrid, 7, 0},
@@ -457,8 +497,8 @@ TEST(PackedArray, StagedSchemesMatchScalarUnderActivationFaults)
 {
     // Activation-stream faults land on the staged values of the exact
     // schemes (corrupted codes for BP/BS, corrupted ones-counts for
-    // tubGEMM/tuGEMM), which then run the table row kernel: no per-MAC
-    // loop is involved, and the scalar referee must still agree.
+    // tubGEMM/tuGEMM), which then run the integer-product loop; the
+    // scalar referee must still agree.
     for (const FaultKind kind : {FaultKind::BitFlip, FaultKind::StuckAt1,
                                  FaultKind::Burst}) {
         for (const KernelConfig kern :

@@ -192,25 +192,6 @@ TEST_F(ProfilerTest, MergedTreeIsThreadCountInvariant)
     EXPECT_EQ(findChild(root, "inner"), nullptr);
 }
 
-TEST_F(ProfilerTest, ForkJoinBaselineIsAlsoAnchored)
-{
-    Profiler &prof = Profiler::global();
-    ThreadGuard guard(3);
-    setForkJoinBaseline(true);
-    prof.setEnabled(true);
-    runAnchoredWorkload();
-    prof.setEnabled(false);
-    setForkJoinBaseline(false);
-
-    const auto root = prof.merged();
-    const auto *outer = findChild(root, "outer");
-    ASSERT_NE(outer, nullptr);
-    const auto *inner = findChild(*outer, "inner");
-    ASSERT_NE(inner, nullptr);
-    EXPECT_EQ(inner->calls, 8u);
-    EXPECT_EQ(findChild(root, "inner"), nullptr);
-}
-
 TEST_F(ProfilerTest, JsonAndCollapsedSerialization)
 {
     Profiler &prof = Profiler::global();
